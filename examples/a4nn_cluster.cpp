@@ -272,7 +272,7 @@ int run_worker(const util::ArgParser& args, core::WorkflowConfig cfg,
                                    req.objective + "', worker configured '" +
                                    objective_name + "'");
         const nas::Genome genome = nas::Genome::from_json(req.genome);
-        const std::uint64_t model_seed = cluster::hex_to_u64(req.seed_hex);
+        const std::uint64_t model_seed = util::hex_to_u64(req.seed_hex);
         nas::EvaluationRecord record =
             loop.train_genome(genome, space, req.model_id, model_seed);
         record.generation = req.generation;

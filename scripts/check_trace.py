@@ -11,10 +11,16 @@ Checks, in order:
   3. The embedded metrics block agrees with the span arguments:
      scheduler retries / wasted seconds summed off the virtual-timeline
      job spans equal the "sched.*" counters, per-record accounting
-     instants equal the "nas.*" counters, and their engine-overhead args
-     sum to the "penguin.engine_overhead_seconds" counter. These are the
-     same numbers RunSummary derives from the registry, so a mismatch
-     means the trace and the summary disagree about what the run did.
+     instants equal the "nas.evaluations" counter, and their
+     engine-overhead args sum to the "penguin.engine_overhead_seconds"
+     counter. These are the same numbers RunSummary derives from the
+     registry, so a mismatch means the trace and the summary disagree
+     about what the run did.
+  4. Every counter the trace lists under "counted" equals the number of
+     instants of the same name, each in the category its name's prefix
+     names. No instant may carry the name of an undeclared counter.
+  5. Cluster remote results equal their job.remote spans and the
+     scheduler's remote jobs; the stream trigger ladder is monotone.
 
 Usage: check_trace.py TRACE_JSON
 
@@ -25,52 +31,9 @@ failure and exits 1 otherwise.
 import json
 import sys
 
-HOST_PID = 1
 VIRTUAL_PID = 2
 CLUSTER_PID = 3
-STREAM_PID = 4
 
-# Every cluster counter increments alongside exactly one pid-3 trace event
-# (Master::note / the job.remote completion span), so trace and metrics
-# must agree event-for-event, not just in aggregate.
-CLUSTER_PAIRS = [
-    ("cluster.remote_results", "job.remote", "X"),
-    ("cluster.local_fallbacks", "job.local_fallback", "i"),
-    ("cluster.dispatches", "job.dispatch", "i"),
-    ("cluster.redispatches", "job.redispatch", "i"),
-    ("cluster.worker_failures", "worker.failure", "i"),
-    ("cluster.worker_quarantines", "worker.quarantine", "i"),
-    ("cluster.heartbeat_timeouts", "worker.heartbeat_timeout", "i"),
-    ("cluster.stale_results", "result.stale", "i"),
-    ("cluster.corrupt_frames", "frame.corrupt", "i"),
-    ("cluster.corrupt_results", "result.corrupt", "i"),
-    ("cluster.worker_connects", "worker.connect", "i"),
-    ("cluster.worker_rejects", "worker.reject", "i"),
-    ("cluster.injected_partitions", "fault.partition", "i"),
-    ("cluster.injected_torn_frames", "fault.torn_frame", "i"),
-]
-# Every stream counter increments alongside exactly one pid-4 instant
-# (Supervisor::note / StreamScenario::note fire both at the same point),
-# so the streaming loop's self-reported counts are held to the trace.
-STREAM_PAIRS = [
-    ("stream.windows", "drift.window"),
-    ("stream.triggers_fired", "trigger.fired"),
-    ("stream.triggers_acked", "trigger.acked"),
-    ("stream.triggers_completed", "trigger.completed"),
-    ("stream.triggers_shed", "trigger.shed"),
-    ("stream.corrupt_frames", "frame.corrupt_drop"),
-    ("stream.child_restarts", "child.restart"),
-    ("stream.child_crashes", "child.crash"),
-    ("stream.watchdog_stalls", "child.stall"),
-    ("stream.degraded_entries", "child.degraded"),
-]
-# Hardware-aware objective instants live on the host lane (pid 1): every
-# latency probe and every post-training quantization bumps its counter at
-# the same point it emits the instant, so the two must agree one-for-one.
-HARDWARE_PAIRS = [
-    ("latency.probes", "latency.probe"),
-    ("quant.quantizations", "quant.quantize"),
-]
 # Everything crossing JSON is an IEEE-754 round-trippable double, so the
 # sums should match exactly; the epsilon only absorbs the associativity of
 # Python summing in event order vs C++ summing in placement order.
@@ -185,80 +148,76 @@ def check_metrics_agreement(doc, events):
         print(f"check_trace: ok: {source} match {counter_name} = {expected}")
 
 
-def check_cluster_agreement(doc, events):
-    """Cross-check pid-3 (cluster master) lanes against cluster.* counters.
+def check_counted(doc, events):
+    """Hold every declared counter equal to its same-named instants.
 
-    Passes trivially for solo runs: with no cluster counters and no pid-3
-    events there is nothing to disagree about.
+    Counted events come from one call (util::metrics::count) that bumps the
+    counter and emits an instant named after it, with the name's prefix as
+    category; components declare their counted names, and the trace lists
+    them under "counted" even when a count stayed at zero.
     """
-    counters = doc.get("metrics", {}).get("counters", {})
-    cluster_events = [e for e in events if e["pid"] == CLUSTER_PID]
-    has_counters = any(name.startswith("cluster.") for name in counters)
-    if not cluster_events and not has_counters:
-        print("check_trace: ok: no cluster activity (skipping pid-3 cross-check)")
+    counters = doc.get("metrics", {}).get("counters")
+    if counters is None:
+        print("check_trace: ok: no embedded metrics block (skipping counts)")
         return
+    counted = doc.get("counted")
+    if not isinstance(counted, list) or not counted:
+        fail('metrics block present but no "counted" name list')
 
-    by_name = {}
-    for e in cluster_events:
-        by_name.setdefault((e["name"], e["ph"]), []).append(e)
+    instants = {}
+    for e in events:
+        if e["ph"] == "i":
+            instants.setdefault(e["name"], []).append(e)
 
-    checked = 0
-    for counter_name, event_name, phase in CLUSTER_PAIRS:
-        expected = counters.get(counter_name, 0.0)
-        observed = len(by_name.get((event_name, phase), []))
-        if not close(expected, observed):
+    for name in counted:
+        expected = counters.get(name, 0.0)
+        observed = instants.get(name, [])
+        if not close(expected, len(observed)):
             fail(
-                f"pid-3 {event_name!r} events number {observed} but the "
-                f"{counter_name} counter says {expected}"
+                f"{name!r} instants number {len(observed)} but the counter "
+                f"says {expected}"
             )
-        checked += 1
-    # Remote completions must also balance the scheduler's view: every
-    # sched.remote_job the scheduler handed out came back as a result.
-    if "sched.remote_jobs" in counters:
-        if not close(
-            counters["sched.remote_jobs"],
-            counters.get("cluster.remote_results", 0.0),
-        ):
-            fail(
-                "sched.remote_jobs "
-                f"({counters['sched.remote_jobs']}) disagrees with "
-                f"cluster.remote_results "
-                f"({counters.get('cluster.remote_results', 0.0)})"
-            )
+        category = name.split(".")[0]
+        for e in observed:
+            if e.get("cat") != category:
+                fail(f"{name!r} instant has category {e.get('cat')!r}")
+    # An instant named after a counter that nobody declared escaped the
+    # cross-check above; refuse it rather than let it drift.
+    undeclared = sorted(set(instants) & set(counters) - set(counted))
+    if undeclared:
+        fail(f"instants named after undeclared counters: {undeclared}")
+    total = sum(len(instants.get(name, [])) for name in counted)
     print(
-        f"check_trace: ok: {len(cluster_events)} pid-3 events match "
-        f"{checked} cluster counters"
+        f"check_trace: ok: {total} count instants match {len(counted)} "
+        "declared counters"
     )
 
 
-def check_stream_agreement(doc, events):
-    """Cross-check pid-4 (streaming loop) instants against stream.* counters.
-
-    Passes trivially when the stream scenario never ran: no stream
-    counters and no pid-4 events means nothing to disagree about.
-    """
-    counters = doc.get("metrics", {}).get("counters", {})
-    stream_events = [e for e in events if e["pid"] == STREAM_PID]
-    has_counters = any(name.startswith("stream.") for name in counters)
-    if not stream_events and not has_counters:
-        print("check_trace: ok: no stream activity (skipping pid-4 cross-check)")
+def check_invariants(doc, events):
+    """Cross-checks that are not one counter against one instant name."""
+    counters = doc.get("metrics", {}).get("counters")
+    if counters is None:
         return
-
-    by_name = {}
-    for e in stream_events:
-        if e["ph"] == "i":
-            by_name.setdefault(e["name"], []).append(e)
-
-    checked = 0
-    for counter_name, event_name in STREAM_PAIRS:
-        expected = counters.get(counter_name, 0.0)
-        observed = len(by_name.get(event_name, []))
-        if not close(expected, observed):
-            fail(
-                f"pid-4 {event_name!r} instants number {observed} but the "
-                f"{counter_name} counter says {expected}"
-            )
-        checked += 1
+    # Every remote result closes one job.remote span on the cluster lanes,
+    # and every remote job the scheduler handed out came back as a result.
+    remote = counters.get("cluster.remote_results", 0.0)
+    spans = sum(
+        1
+        for e in events
+        if e["name"] == "job.remote" and e["ph"] == "X" and e["pid"] == CLUSTER_PID
+    )
+    if not close(remote, spans):
+        fail(
+            f"pid-3 job.remote spans number {spans} but the "
+            f"cluster.remote_results counter says {remote}"
+        )
+    if "sched.remote_jobs" in counters and not close(
+        counters["sched.remote_jobs"], remote
+    ):
+        fail(
+            f"sched.remote_jobs ({counters['sched.remote_jobs']}) disagrees "
+            f"with cluster.remote_results ({remote})"
+        )
     # The trigger ladder only moves forward: a trigger must be fired
     # before it is acked, and acked before it completes.
     fired = counters.get("stream.triggers_fired", 0.0)
@@ -270,51 +229,8 @@ def check_stream_agreement(doc, events):
             f"acked={acked} completed={completed}"
         )
     print(
-        f"check_trace: ok: {len(stream_events)} pid-4 events match "
-        f"{checked} stream counters"
-    )
-
-
-def check_hardware_agreement(doc, events):
-    """Cross-check latency.*/quant.* counters against their host instants.
-
-    Passes trivially for flops-objective, unquantized runs: no hardware
-    counters and no matching instants means nothing to disagree about.
-    """
-    counters = doc.get("metrics", {}).get("counters", {})
-    names = {event_name for _, event_name in HARDWARE_PAIRS}
-    instants = [
-        e
-        for e in events
-        if e["pid"] == HOST_PID and e["ph"] == "i" and e["name"] in names
-    ]
-    has_counters = any(
-        name.startswith(("latency.", "quant.")) for name in counters
-    )
-    if not instants and not has_counters:
-        print(
-            "check_trace: ok: no hardware-objective activity "
-            "(skipping latency/quant cross-check)"
-        )
-        return
-
-    by_name = {}
-    for e in instants:
-        by_name.setdefault(e["name"], []).append(e)
-
-    checked = 0
-    for counter_name, event_name in HARDWARE_PAIRS:
-        expected = counters.get(counter_name, 0.0)
-        observed = len(by_name.get(event_name, []))
-        if not close(expected, observed):
-            fail(
-                f"{event_name!r} instants number {observed} but the "
-                f"{counter_name} counter says {expected}"
-            )
-        checked += 1
-    print(
-        f"check_trace: ok: {len(instants)} hardware-objective instants "
-        f"match {checked} counters"
+        f"check_trace: ok: {spans} job.remote spans match "
+        "cluster.remote_results; trigger ladder monotone"
     )
 
 
@@ -333,9 +249,8 @@ def main():
     print(f"check_trace: ok: {len(real)} events parse as Chrome trace format")
     check_nesting(events)
     check_metrics_agreement(doc, real)
-    check_cluster_agreement(doc, real)
-    check_stream_agreement(doc, real)
-    check_hardware_agreement(doc, real)
+    check_counted(doc, real)
+    check_invariants(doc, real)
     print("check_trace: PASS")
 
 

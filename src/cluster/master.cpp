@@ -15,9 +15,25 @@ namespace {
 /// worker attached); worker `i` gets lane `i + 1`.
 constexpr int kMasterLane = 0;
 
+using util::metrics::count;
+using util::trace::kClusterPid;
+
 int worker_lane(std::size_t worker_index) {
   return static_cast<int>(worker_index) + 1;
 }
+
+/// Every count the master emits through count(), as a same-named pid-3
+/// instant on the lane of the worker involved. Remote results are counted
+/// separately ("cluster.remote_results"), against their job.remote spans.
+constexpr const char* kCounted[] = {
+    "cluster.local_fallbacks",    "cluster.dispatches",
+    "cluster.redispatches",       "cluster.worker_failures",
+    "cluster.worker_quarantines", "cluster.heartbeat_timeouts",
+    "cluster.stale_results",      "cluster.corrupt_frames",
+    "cluster.corrupt_results",    "cluster.worker_connects",
+    "cluster.worker_rejects",     "cluster.injected_partitions",
+    "cluster.injected_torn_frames",
+};
 
 }  // namespace
 
@@ -36,9 +52,10 @@ Master::Master(MasterOptions options)
         return fc;
       }()) {
   if (util::trace::enabled()) {
-    util::trace::name_process(util::trace::kClusterPid, "cluster master");
-    util::trace::name_thread(util::trace::kClusterPid, kMasterLane, "master");
+    util::trace::name_process(kClusterPid, "cluster master");
+    util::trace::name_thread(kClusterPid, kMasterLane, "master");
   }
+  util::metrics::declare(pending_, kCounted);
   last_heartbeat_ms_ = now_ms();
   io_thread_ = std::thread([this] { io_loop(); });
 }
@@ -94,25 +111,16 @@ bool Master::wait_for_workers(std::size_t n, int timeout_ms) {
 
 void Master::set_metrics(util::metrics::Registry* registry) {
   std::lock_guard<std::mutex> lock(mutex_);
-  metrics_ = registry;
-  if (!metrics_) return;
-  // Events noted before the run attached its registry (worker handshakes
+  metrics_ = registry ? registry : &pending_;
+  if (!registry) return;
+  util::metrics::declare(*registry, kCounted);
+  // Events counted before the run attached its registry (worker handshakes
   // happen while the master is waiting for --min-workers) were buffered;
   // flush them so the counters match the pid-3 trace events exactly.
-  for (const auto& [name, count] : pending_counts_)
-    metrics_->counter(name).add(count);
-  pending_counts_.clear();
-}
-
-void Master::note(const char* counter_name, const char* event_name, int lane) {
-  if (metrics_)
-    metrics_->counter(counter_name).add(1.0);
-  else
-    pending_counts_[counter_name] += 1.0;
-  if (util::trace::enabled()) {
-    util::trace::emit_instant(event_name, "cluster", util::trace::now_us(),
-                              util::trace::kClusterPid, lane);
-  }
+  const util::Json pending = pending_.snapshot();
+  for (const auto& [name, value] : pending.at("counters").as_object())
+    registry->counter(name).add(value.as_number());
+  pending_.reset();
 }
 
 std::optional<util::Json> Master::evaluate(const util::Json& payload) {
@@ -125,7 +133,7 @@ std::optional<util::Json> Master::evaluate(const util::Json& payload) {
       conns_.begin(), conns_.end(),
       [](const auto& c) { return c->welcomed && c->conn.valid(); });
   if (!any_worker) {
-    note("cluster.local_fallbacks", "job.local_fallback", kMasterLane);
+    count(*metrics_, "cluster.local_fallbacks", kClusterPid, kMasterLane);
     return std::nullopt;
   }
 
@@ -186,8 +194,8 @@ void Master::io_loop() {
       for (auto& c : conns_) {
         if (!c->conn.valid()) continue;
         if (now - c->last_recv_ms > options_.heartbeat_timeout_ms) {
-          note("cluster.heartbeat_timeouts", "worker.heartbeat_timeout",
-               c->welcomed ? worker_lane(c->worker_index) : kMasterLane);
+          count(*metrics_, "cluster.heartbeat_timeouts", kClusterPid,
+                c->welcomed ? worker_lane(c->worker_index) : kMasterLane);
           fail_connection(*c, "heartbeat_timeout");
         }
       }
@@ -222,8 +230,8 @@ void Master::pump_connection(Connection& conn) {
   // corruption sweep can assert nothing corrupt was committed silently.
   while (conn.decoder.corrupt_frames() > conn.corrupt_seen) {
     ++conn.corrupt_seen;
-    note("cluster.corrupt_frames", "frame.corrupt",
-         conn.welcomed ? worker_lane(conn.worker_index) : kMasterLane);
+    count(*metrics_, "cluster.corrupt_frames", kClusterPid,
+          conn.welcomed ? worker_lane(conn.worker_index) : kMasterLane);
   }
   util::WireFrame frame;
   while (conn.conn.valid() && conn.decoder.next(frame)) {
@@ -235,8 +243,8 @@ void Master::handle_frame(Connection& conn, const util::WireFrame& frame) {
   if (!known_type(frame.type)) {
     // CRC-valid payload under a garbage type byte: a resync landed inside
     // hostile bytes. Treat the stream as poisoned.
-    note("cluster.corrupt_frames", "frame.corrupt",
-         conn.welcomed ? worker_lane(conn.worker_index) : kMasterLane);
+    count(*metrics_, "cluster.corrupt_frames", kClusterPid,
+          conn.welcomed ? worker_lane(conn.worker_index) : kMasterLane);
     fail_connection(conn, "unknown_message_type");
     return;
   }
@@ -245,8 +253,8 @@ void Master::handle_frame(Connection& conn, const util::WireFrame& frame) {
   try {
     body = parse_body(frame);
   } catch (const std::exception&) {
-    note("cluster.corrupt_frames", "frame.corrupt",
-         conn.welcomed ? worker_lane(conn.worker_index) : kMasterLane);
+    count(*metrics_, "cluster.corrupt_frames", kClusterPid,
+          conn.welcomed ? worker_lane(conn.worker_index) : kMasterLane);
     fail_connection(conn, "malformed_body");
     return;
   }
@@ -271,7 +279,7 @@ void Master::handle_frame(Connection& conn, const util::WireFrame& frame) {
           r.reason = reject_reason;
           conn.conn.send_all(cluster::encode(MsgType::kReject, r.to_json()));
           conn.conn.close();
-          note("cluster.worker_rejects", "worker.reject", kMasterLane);
+          count(*metrics_, "cluster.worker_rejects", kClusterPid, kMasterLane);
           return;
         }
         conn.hello = hello;
@@ -291,8 +299,8 @@ void Master::handle_frame(Connection& conn, const util::WireFrame& frame) {
           fail_connection(conn, "send_failed");
           return;
         }
-        note("cluster.worker_connects", "worker.connect",
-             worker_lane(conn.worker_index));
+        count(*metrics_, "cluster.worker_connects", kClusterPid,
+              worker_lane(conn.worker_index));
         util::log_info("cluster: worker '", hello.worker, "' joined (threads=",
                        hello.threads, ", ram=", hello.ram_bytes, ")");
         workers_cv_.notify_all();
@@ -307,8 +315,8 @@ void Master::handle_frame(Connection& conn, const util::WireFrame& frame) {
             it->second->assigned_conn != conn.id) {
           // Unknown id, already-finished job, or a reply racing its own
           // re-dispatch. Either way the commons must not see it twice.
-          note("cluster.stale_results", "result.stale",
-               worker_lane(conn.worker_index));
+          count(*metrics_, "cluster.stale_results", kClusterPid,
+                worker_lane(conn.worker_index));
           break;
         }
         PendingJob& job = *it->second;
@@ -319,8 +327,8 @@ void Master::handle_frame(Connection& conn, const util::WireFrame& frame) {
         if (!id_matches) {
           // CRC-valid frame carrying the wrong model's record: a worker
           // bug, not line noise. Never commit it; retry elsewhere.
-          note("cluster.corrupt_results", "result.corrupt",
-               worker_lane(conn.worker_index));
+          count(*metrics_, "cluster.corrupt_results", kClusterPid,
+                worker_lane(conn.worker_index));
           if (conn.outstanding > 0) --conn.outstanding;
           job.assigned_conn = 0;
           job.not_before_ms =
@@ -331,10 +339,7 @@ void Master::handle_frame(Connection& conn, const util::WireFrame& frame) {
           break;
         }
         if (conn.outstanding > 0) --conn.outstanding;
-        if (metrics_)
-          metrics_->counter("cluster.remote_results").add(1.0);
-        else
-          pending_counts_["cluster.remote_results"] += 1.0;
+        metrics_->counter("cluster.remote_results").add(1.0);
         if (util::trace::enabled()) {
           const double end_us = util::trace::now_us();
           util::trace::emit_complete(
@@ -355,8 +360,8 @@ void Master::handle_frame(Connection& conn, const util::WireFrame& frame) {
   } catch (const std::exception& e) {
     util::log_warn("cluster: dropping worker after bad '",
                    type_name(type), "' message: ", e.what());
-    note("cluster.corrupt_frames", "frame.corrupt",
-         conn.welcomed ? worker_lane(conn.worker_index) : kMasterLane);
+    count(*metrics_, "cluster.corrupt_frames", kClusterPid,
+          conn.welcomed ? worker_lane(conn.worker_index) : kMasterLane);
     fail_connection(conn, "bad_message_body");
   }
 }
@@ -367,14 +372,14 @@ void Master::fail_connection(Connection& conn, const char* why) {
   const int lane =
       conn.welcomed ? worker_lane(conn.worker_index) : kMasterLane;
   if (conn.welcomed) {
-    note("cluster.worker_failures", "worker.failure", lane);
+    count(*metrics_, "cluster.worker_failures", kClusterPid, lane);
     util::log_warn("cluster: worker '", conn.hello.worker, "' failed (", why,
                    ")");
     const std::size_t fails = ++failures_[conn.hello.worker];
     if (fails >= options_.quarantine_after &&
         !quarantined_[conn.hello.worker]) {
       quarantined_[conn.hello.worker] = true;
-      note("cluster.worker_quarantines", "worker.quarantine", lane);
+      count(*metrics_, "cluster.worker_quarantines", kClusterPid, lane);
       util::log_warn("cluster: quarantining worker '", conn.hello.worker,
                      "' after ", fails, " failures");
     }
@@ -413,12 +418,12 @@ void Master::dispatch_ready_jobs() {
 
     if (workers.empty()) {
       // Nobody reachable: degrade to local execution instead of wedging.
-      note("cluster.local_fallbacks", "job.local_fallback", kMasterLane);
+      count(*metrics_, "cluster.local_fallbacks", kClusterPid, kMasterLane);
       finish_job(job, std::nullopt);
       continue;
     }
     if (job.attempts >= options_.max_attempts) {
-      note("cluster.local_fallbacks", "job.local_fallback", kMasterLane);
+      count(*metrics_, "cluster.local_fallbacks", kClusterPid, kMasterLane);
       finish_job(job, std::nullopt);
       continue;
     }
@@ -455,24 +460,24 @@ void Master::dispatch_ready_jobs() {
     job.assigned_conn = best->id;
     job.dispatched_us = util::trace::now_us();
     ++best->outstanding;
-    note(job.attempts > 1 ? "cluster.redispatches" : "cluster.dispatches",
-         job.attempts > 1 ? "job.redispatch" : "job.dispatch",
-         worker_lane(best->worker_index));
+    count(*metrics_,
+          job.attempts > 1 ? "cluster.redispatches" : "cluster.dispatches",
+          kClusterPid, worker_lane(best->worker_index));
 
     const std::string bytes =
         cluster::encode(MsgType::kJobRequest, job.payload);
     if (injector_.torn_frame(dispatch_epoch, best->worker_index,
                              job.attempts)) {
-      note("cluster.injected_torn_frames", "fault.torn_frame",
-           worker_lane(best->worker_index));
+      count(*metrics_, "cluster.injected_torn_frames", kClusterPid,
+            worker_lane(best->worker_index));
       best->conn.send_torn(bytes, bytes.size() / 2);
       fail_connection(*best, "injected_torn_frame");
     } else if (!best->conn.send_all(bytes)) {
       fail_connection(*best, "send_failed");
     } else if (injector_.network_partition(dispatch_epoch, best->worker_index,
                                            job.attempts)) {
-      note("cluster.injected_partitions", "fault.partition",
-           worker_lane(best->worker_index));
+      count(*metrics_, "cluster.injected_partitions", kClusterPid,
+            worker_lane(best->worker_index));
       fail_connection(*best, "injected_partition");
     }
     if (!best->conn.valid()) {

@@ -26,9 +26,10 @@
 //     sequence replays deterministically.
 //
 // Accounting: every counter lands in the attached metrics registry under
-// "cluster.*", and each counted event emits a matching span/instant on the
-// trace's pid-3 lanes (one lane per worker), so scripts/check_trace.py can
-// cross-check them exactly.
+// "cluster.*". Counted events go through util::metrics::count, which emits
+// the same-named instant on the trace's pid-3 lanes (one lane per worker);
+// each remote result also closes a job.remote span. scripts/check_trace.py
+// cross-checks both exactly.
 #pragma once
 
 #include <condition_variable>
@@ -135,10 +136,6 @@ class Master : public sched::RemoteExecutor {
   void fail_connection(Connection& conn, const char* why);
   void dispatch_ready_jobs();
   void finish_job(PendingJob& job, std::optional<util::Json> result);
-  /// Count a cluster event and emit its pid-3 trace twin: `counter_name`
-  /// increments in the registry, `event_name` lands as an instant on the
-  /// worker's lane. check_trace.py asserts the pair stays equal.
-  void note(const char* counter_name, const char* event_name, int lane);
 
   MasterOptions options_;
   TcpListener listener_;
@@ -157,11 +154,11 @@ class Master : public sched::RemoteExecutor {
   std::uint64_t next_conn_id_ = 1;
   std::uint64_t dispatch_counter_ = 0;
   double last_heartbeat_ms_ = 0.0;
-  util::metrics::Registry* metrics_ = nullptr;
-  /// Counts noted while no registry is attached (pre-run handshakes);
+  /// Counts made while no registry is attached (pre-run handshakes);
   /// flushed into the registry by set_metrics so counters always equal
-  /// their pid-3 trace twins.
-  std::map<std::string, double> pending_counts_;
+  /// their pid-3 trace instants.
+  util::metrics::Registry pending_;
+  util::metrics::Registry* metrics_ = &pending_;
   bool stopping_ = false;
 
   std::thread io_thread_;

@@ -1,8 +1,5 @@
 #include "cluster/protocol.hpp"
 
-#include <charconv>
-#include <stdexcept>
-
 namespace a4nn::cluster {
 
 bool known_type(std::uint8_t type) {
@@ -112,21 +109,6 @@ std::string encode(MsgType type) { return encode(type, util::Json::object()); }
 
 util::Json parse_body(const util::WireFrame& frame) {
   return util::Json::parse(frame.payload);
-}
-
-std::string u64_to_hex(std::uint64_t v) {
-  char buf[17];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v, 16);
-  if (ec != std::errc{}) throw std::runtime_error("u64_to_hex: conversion failed");
-  return std::string(buf, ptr);
-}
-
-std::uint64_t hex_to_u64(const std::string& s) {
-  std::uint64_t v = 0;
-  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v, 16);
-  if (ec != std::errc{} || ptr != s.data() + s.size())
-    throw std::runtime_error("hex_to_u64: malformed seed '" + s + "'");
-  return v;
 }
 
 }  // namespace a4nn::cluster

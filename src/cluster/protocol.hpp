@@ -107,9 +107,4 @@ std::string encode(MsgType type);
 /// practice; this guards against a sender bug).
 util::Json parse_body(const util::WireFrame& frame);
 
-/// u64 <-> hex helpers for seeds (JSON numbers are doubles; 2^53 is not
-/// enough for a mixed seed).
-std::string u64_to_hex(std::uint64_t v);
-std::uint64_t hex_to_u64(const std::string& s);
-
 }  // namespace a4nn::cluster

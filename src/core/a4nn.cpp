@@ -1,5 +1,7 @@
 #include "core/a4nn.hpp"
 
+#include <type_traits>
+
 #include "util/log.hpp"
 #include "util/timer.hpp"
 #include "util/trace.hpp"
@@ -56,6 +58,52 @@ util::Json ClusterTotals::to_json() const {
   j["corrupt_results"] = corrupt_results;
   j["local_fallbacks"] = local_fallbacks;
   return j;
+}
+
+namespace {
+
+/// The one name -> field table: every RunSummary field that is a view of a
+/// registry counter, visited as f(counter name, field).
+template <class F>
+void for_each_counted_field(RunSummary& s, F&& f) {
+  f("nas.failed_evaluations", s.failed_evaluations);
+  f("nas.resumed_evaluations", s.resumed_evaluations);
+  f("nas.genome_mismatches", s.genome_mismatches);
+  f("nas.memo_hits", s.memo_hits);
+  f("nas.inherited_evaluations", s.inherited_starts);
+  f("nas.coalesced", s.coalesced_evaluations);
+  f("latency.probes", s.latency_probes);
+  f("penguin.engine_overhead_seconds", s.engine_overhead_seconds);
+  f("penguin.engine_overhead_replayed_seconds",
+    s.engine_overhead_replayed_seconds);
+  f("penguin.engine_overhead_coalesced_seconds",
+    s.engine_overhead_coalesced_seconds);
+  ClusterTotals& c = s.cluster;
+  f("sched.remote_jobs", c.remote_jobs);
+  f("sched.remote_fallbacks", c.remote_fallbacks);
+  f("cluster.dispatches", c.dispatches);
+  f("cluster.redispatches", c.redispatches);
+  f("cluster.worker_failures", c.worker_failures);
+  f("cluster.worker_quarantines", c.worker_quarantines);
+  f("cluster.heartbeat_timeouts", c.heartbeat_timeouts);
+  f("cluster.stale_results", c.stale_results);
+  f("cluster.corrupt_frames", c.corrupt_frames);
+  f("cluster.corrupt_results", c.corrupt_results);
+  f("cluster.local_fallbacks", c.local_fallbacks);
+}
+
+}  // namespace
+
+void RunSummary::read_metrics(util::Json snapshot) {
+  metrics = std::move(snapshot);
+  faults = analytics::fault_totals(metrics);
+  const util::Json none;
+  const util::Json& counters =
+      metrics.contains("counters") ? metrics.at("counters") : none;
+  for_each_counted_field(*this, [&counters](const char* name, auto& field) {
+    using T = std::remove_reference_t<decltype(field)>;
+    field = static_cast<T>(counters.number_or(name, 0.0));
+  });
 }
 
 util::Json RunSummary::to_json() const {
@@ -204,53 +252,14 @@ WorkflowResult A4nnWorkflow::run() {
     tracker->record_artifact("memo_index.json",
                              nas::memo_index_json(result.search.history));
   }
-  result.resumed_evaluations = evaluator.resumed_count();
   result.schedules = evaluator.schedules();
-  // The fault totals are read back from the registry (a derived view);
-  // because the scheduler adds its per-generation totals in schedule
-  // order, this equals fault_totals(result.schedules) bit-for-bit
+  // Every count is read back from the registry (a derived view). The
+  // scheduler adds its per-generation totals in schedule order, so the
+  // fault totals equal fault_totals(result.schedules) bit-for-bit
   // (test_trace_metrics asserts the two overloads agree).
-  result.summary.metrics = registry.snapshot();
-  result.summary.faults = analytics::fault_totals(result.summary.metrics);
-  result.summary.failed_evaluations = evaluator.failed_count();
-  if (result.summary.metrics.contains("counters")) {
-    result.summary.engine_overhead_seconds =
-        result.summary.metrics.at("counters").number_or(
-            "penguin.engine_overhead_seconds", 0.0);
-  }
-  result.summary.resumed_evaluations = evaluator.resumed_count();
+  result.summary.read_metrics(registry.snapshot());
   result.summary.resumed_epochs = loop.resumed_epochs();
-  result.summary.genome_mismatches = evaluator.genome_mismatches();
-  result.summary.memo_hits = evaluator.memo_hits();
-  result.summary.inherited_starts = evaluator.inherited_count();
-  if (result.summary.metrics.contains("counters")) {
-    result.summary.engine_overhead_replayed_seconds =
-        result.summary.metrics.at("counters").number_or(
-            "penguin.engine_overhead_replayed_seconds", 0.0);
-    result.summary.engine_overhead_coalesced_seconds =
-        result.summary.metrics.at("counters").number_or(
-            "penguin.engine_overhead_coalesced_seconds", 0.0);
-  }
-  result.summary.coalesced_evaluations = evaluator.coalesced_count();
-  result.summary.latency_probes = evaluator.probed_count();
-  if (result.summary.metrics.contains("counters")) {
-    const util::Json& counters = result.summary.metrics.at("counters");
-    const auto count = [&counters](const char* name) {
-      return static_cast<std::size_t>(counters.number_or(name, 0.0));
-    };
-    ClusterTotals& ct = result.summary.cluster;
-    ct.remote_jobs = count("sched.remote_jobs");
-    ct.remote_fallbacks = count("sched.remote_fallbacks");
-    ct.dispatches = count("cluster.dispatches");
-    ct.redispatches = count("cluster.redispatches");
-    ct.worker_failures = count("cluster.worker_failures");
-    ct.worker_quarantines = count("cluster.worker_quarantines");
-    ct.heartbeat_timeouts = count("cluster.heartbeat_timeouts");
-    ct.stale_results = count("cluster.stale_results");
-    ct.corrupt_frames = count("cluster.corrupt_frames");
-    ct.corrupt_results = count("cluster.corrupt_results");
-    ct.local_fallbacks = count("cluster.local_fallbacks");
-  }
+  result.resumed_evaluations = result.summary.resumed_evaluations;
   result.virtual_wall_seconds = cluster.virtual_now();
   result.measured_wall_seconds = wall.seconds();
   if (config_.lineage) result.commons_root = config_.lineage->root;

@@ -67,8 +67,9 @@ struct WorkflowConfig {
 };
 
 /// Remote-execution accounting for one run(), derived from the registry's
-/// "sched.remote_*" and "cluster.*" counters. All zeros for purely local
-/// runs (and for cluster runs that degraded to local the whole way).
+/// "sched.remote_*" and "cluster.*" counters by RunSummary::read_metrics.
+/// All zeros for purely local runs (and for cluster runs that degraded to
+/// local the whole way).
 struct ClusterTotals {
   std::size_t remote_jobs = 0;       // jobs served by cluster workers
   std::size_t remote_fallbacks = 0;  // offered remotely, ran locally
@@ -85,7 +86,10 @@ struct ClusterTotals {
   util::Json to_json() const;
 };
 
-/// Fault-tolerance and recovery accounting for one run().
+/// Fault-tolerance and recovery accounting for one run(). Every count and
+/// engine-overhead bucket below (and `cluster`) is a view of the run's
+/// metrics registry, filled by read_metrics(); the fsck fields and
+/// resumed_epochs come from the fsck report and the training loop.
 struct RunSummary {
   /// Derived view of the run's metrics registry ("sched.*" counters); the
   /// registry is populated in schedule order, so these equal
@@ -135,6 +139,11 @@ struct RunSummary {
   std::size_t latency_probes = 0;
   /// Remote-execution accounting (all zeros without a cluster backend).
   ClusterTotals cluster;
+
+  /// Store `snapshot` as `metrics` and derive `faults`, every registry
+  /// count, the engine-overhead buckets and `cluster` from its counters
+  /// (absent counters read as 0).
+  void read_metrics(util::Json snapshot);
 
   util::Json to_json() const;
 };

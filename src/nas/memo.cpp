@@ -73,14 +73,10 @@ void FitnessMemo::warm(std::span<const EvaluationRecord> records) {
   for (const auto& r : records) insert(r);
 }
 
-const EvaluationRecord* FitnessMemo::lookup(const Genome& genome) {
+const EvaluationRecord* FitnessMemo::lookup(const Genome& genome) const {
   if (!reuse_enabled()) return nullptr;
   auto it = entries_.find(genome.digest());
-  if (it == entries_.end() || it->second.key != genome.key()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
+  if (it == entries_.end() || it->second.key != genome.key()) return nullptr;
   return &it->second.record;
 }
 

@@ -76,7 +76,7 @@ class FitnessMemo {
   /// enabled and the genome was already evaluated (exact key match behind
   /// the digest, so a digest collision degrades to a miss, never a wrong
   /// record). Null otherwise.
-  const EvaluationRecord* lookup(const Genome& genome);
+  const EvaluationRecord* lookup(const Genome& genome) const;
 
   /// Canonical model id that trained this genome (-1 if never trained).
   /// Available in every mode != kOff: lets weight inheritance fall back to
@@ -87,8 +87,6 @@ class FitnessMemo {
   int canonical_model_of(int model_id) const;
 
   std::size_t size() const { return entries_.size(); }
-  std::size_t hits() const { return hits_; }
-  std::size_t misses() const { return misses_; }
 
  private:
   struct Entry {
@@ -99,8 +97,6 @@ class FitnessMemo {
   MemoMode mode_;
   std::unordered_map<std::uint64_t, Entry> entries_;
   std::unordered_map<int, std::uint64_t> model_digest_;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
 };
 
 /// Deterministic summary of a run's evaluations: digest -> canonical model

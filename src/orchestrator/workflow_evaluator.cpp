@@ -1,6 +1,5 @@
 #include "orchestrator/workflow_evaluator.hpp"
 
-#include <charconv>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
@@ -16,14 +15,14 @@ namespace a4nn::orchestrator {
 
 namespace {
 
-/// u64 as lowercase hex text: per-model seeds exceed 2^53, so they cannot
-/// ride a JSON number (doubles) to a remote worker.
-std::string seed_to_hex(std::uint64_t v) {
-  char buf[17];
-  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v, 16);
-  (void)ec;
-  return std::string(buf, ptr);
-}
+/// Every count the evaluator keeps, each bumped at one point through
+/// util::metrics::count (one trace instant per bump).
+constexpr const char* kCounted[] = {
+    "nas.resumed_evaluations", "nas.genome_mismatches",
+    "nas.failed_evaluations",  "nas.memo_hits",
+    "nas.coalesced",           "nas.inherited_evaluations",
+    "latency.probes",
+};
 
 /// Shared state between a coalesced duplicate group's leader job and its
 /// followers. Deadlock-free by construction: dispatch is FIFO and the
@@ -74,7 +73,14 @@ WorkflowEvaluator::WorkflowEvaluator(const TrainingLoop& loop,
       cluster_(&cluster),
       space_(std::move(space)),
       seed_(seed),
-      lineage_(lineage) {}
+      lineage_(lineage) {
+  util::metrics::declare(own_metrics_, kCounted);
+}
+
+void WorkflowEvaluator::set_metrics(util::metrics::Registry* registry) {
+  metrics_ = registry ? registry : &own_metrics_;
+  util::metrics::declare(*metrics_, kCounted);
+}
 
 void WorkflowEvaluator::preload_records(
     std::vector<nas::EvaluationRecord> records) {
@@ -117,6 +123,8 @@ std::vector<nas::EvaluationRecord> WorkflowEvaluator::evaluate_generation(
   jobs.reserve(genomes.size());
   // Duplicate-coalescing groups for this generation, keyed by genome.
   std::unordered_map<std::string, std::shared_ptr<CoalesceGroup>> groups;
+  namespace trace = util::trace;
+  const int lane = trace::enabled() ? trace::current_tid() : 0;
   const std::size_t attempt_budget = cluster_->config().fault.max_retries + 1;
   const int base_id = next_model_id_;
   for (std::size_t i = 0; i < genomes.size(); ++i) {
@@ -140,7 +148,9 @@ std::vector<nas::EvaluationRecord> WorkflowEvaluator::evaluate_generation(
       } else if (cached->second.genome.key() == genome.key()) {
         *slot = cached->second;
         slot->generation = generation;
-        ++resumed_;
+        util::metrics::count(*metrics_, "nas.resumed_evaluations",
+                             trace::kHostPid, lane,
+                             {{"model_id", static_cast<double>(model_id)}});
         jobs.push_back(sched::Job{[slot] { return slot->virtual_seconds; }});
         continue;
       } else {
@@ -149,7 +159,9 @@ std::vector<nas::EvaluationRecord> WorkflowEvaluator::evaluate_generation(
         util::log_warn("resume: model ", model_id, " genome mismatch (stored key=",
                        cached->second.genome.key(),
                        ", requested key=", genome.key(), "); retraining");
-        ++genome_mismatches_;
+        util::metrics::count(*metrics_, "nas.genome_mismatches",
+                             trace::kHostPid, lane,
+                             {{"model_id", static_cast<double>(model_id)}});
       }
     }
 
@@ -187,7 +199,6 @@ std::vector<nas::EvaluationRecord> WorkflowEvaluator::evaluate_generation(
         slot->model_id = model_id;
         slot->generation = generation;
         slot->replayed = true;
-        ++memo_hits_;
         jobs.push_back(sched::Job{[this, slot] {
           flush_record(*slot);
           return slot->virtual_seconds;
@@ -284,7 +295,7 @@ std::vector<nas::EvaluationRecord> WorkflowEvaluator::evaluate_generation(
     payload["job"] = 0.0;  // dispatch id, stamped by the master
     payload["model_id"] = model_id;
     payload["generation"] = generation;
-    payload["seed"] = seed_to_hex(model_seed);
+    payload["seed"] = util::u64_to_hex(model_seed);
     payload["genome"] = genome.to_json();
     // Default mode keeps the historical wire bytes (key absent).
     if (objective_ != nas::ObjectiveMode::kFlops)
@@ -319,55 +330,53 @@ std::vector<nas::EvaluationRecord> WorkflowEvaluator::evaluate_generation(
       cluster_->run_generation(std::move(jobs));
   // Single-threaded accounting pass, in record order: metric counters here
   // bit-match any ad-hoc sum over the history in the same order.
-  namespace trace = util::trace;
   for (std::size_t i = 0; i < records.size(); ++i) {
     records[i].generation = generation;
     records[i].device_id = schedule.placements[i].device_id;
+    const std::vector<trace::Arg> id_arg = {
+        {"model_id", static_cast<double>(records[i].model_id)}};
+    metrics_->counter("nas.evaluations").add();
     if (schedule.placements[i].failed) {
       // The job never produced a result: mark the record failed instead of
       // letting a default-constructed trail masquerade as a fitness-0.0,
       // 0-FLOPs evaluation in selection and the commons.
       records[i].failed = true;
       records[i].error = schedule.placements[i].error;
-      ++failed_;
+      util::metrics::count(*metrics_, "nas.failed_evaluations",
+                           trace::kHostPid, lane, id_arg);
       util::log_error("model ", records[i].model_id,
                       " failed permanently after retries: ",
                       schedule.placements[i].error);
+    }
+    if (records[i].replayed) {
+      // Honest engine accounting: a replayed record's journaled fit cost
+      // (LM iterations, convergence checks) was paid once, by the
+      // canonical evaluation. Re-counting it as fresh overhead would
+      // inflate RunSummary's engine totals on every cache hit, so
+      // replays land in their own counter.
+      util::metrics::count(*metrics_, "nas.memo_hits", trace::kHostPid, lane,
+                           id_arg);
+      metrics_->counter("penguin.engine_overhead_replayed_seconds")
+          .add(records[i].engine_overhead_seconds);
+    } else if (records[i].coalesced && !records[i].failed) {
+      // Same split for coalesced duplicates: their engine cost was paid
+      // once, by the group leader.
+      util::metrics::count(*metrics_, "nas.coalesced", trace::kHostPid, lane,
+                           id_arg);
+      metrics_->counter("penguin.engine_overhead_coalesced_seconds")
+          .add(records[i].engine_overhead_seconds);
+    } else {
+      metrics_->counter("penguin.engine_overhead_seconds")
+          .add(records[i].engine_overhead_seconds);
     }
     // Replayed records carry the canonical record's provenance, not a warm
     // start paid this run (and the memo admits only from-scratch records
     // anyway): count inheritance for fresh evaluations only, mirroring the
     // engine-overhead split, so RunSummary.inherited_starts stays equal to
     // train.inherited_starts.
-    const bool fresh_inherited =
-        records[i].inherited_from_model >= 0 && !records[i].replayed;
-    if (fresh_inherited) ++inherited_;
-    if (records[i].coalesced && !records[i].failed) ++coalesced_;
-    if (metrics_) {
-      metrics_->counter("nas.evaluations").add();
-      if (records[i].failed) metrics_->counter("nas.failed_evaluations").add();
-      if (records[i].replayed) {
-        // Honest engine accounting: a replayed record's journaled fit cost
-        // (LM iterations, convergence checks) was paid once, by the
-        // canonical evaluation. Re-counting it as fresh overhead would
-        // inflate RunSummary's engine totals on every cache hit, so
-        // replays land in their own counter.
-        metrics_->counter("nas.memo_hits").add();
-        metrics_->counter("penguin.engine_overhead_replayed_seconds")
-            .add(records[i].engine_overhead_seconds);
-      } else if (records[i].coalesced && !records[i].failed) {
-        // Same split for coalesced duplicates: their engine cost was paid
-        // once, by the group leader.
-        metrics_->counter("nas.coalesced").add();
-        metrics_->counter("penguin.engine_overhead_coalesced_seconds")
-            .add(records[i].engine_overhead_seconds);
-      } else {
-        metrics_->counter("penguin.engine_overhead_seconds")
-            .add(records[i].engine_overhead_seconds);
-      }
-      if (fresh_inherited)
-        metrics_->counter("nas.inherited_evaluations").add();
-    }
+    if (records[i].inherited_from_model >= 0 && !records[i].replayed)
+      util::metrics::count(*metrics_, "nas.inherited_evaluations",
+                           trace::kHostPid, lane, id_arg);
     // Hardware objectives: probe every record that does not already carry
     // a timing from *this* machine — fresh trainings, remote-trained
     // records, and memo/resume replays stamped on another host. Probing
@@ -388,17 +397,12 @@ std::vector<nas::EvaluationRecord> WorkflowEvaluator::evaluate_generation(
       records[i].bytes_moved = roofline.bytes_moved;
       records[i].arithmetic_intensity = roofline.arithmetic_intensity();
       records[i].latency_host = latency::host_fingerprint();
-      ++probed_;
-      if (metrics_) metrics_->counter("latency.probes").add();
-      if (trace::enabled()) {
-        trace::emit_instant(
-            "latency.probe", "latency", trace::now_us(), trace::kHostPid,
-            trace::current_tid(),
-            {{"model_id", static_cast<double>(records[i].model_id)},
-             {"latency_ms", records[i].latency_ms},
-             {"latency_p99_ms", records[i].latency_p99_ms},
-             {"bytes_moved", static_cast<double>(records[i].bytes_moved)}});
-      }
+      util::metrics::count(
+          *metrics_, "latency.probes", trace::kHostPid, lane,
+          {{"model_id", static_cast<double>(records[i].model_id)},
+           {"latency_ms", records[i].latency_ms},
+           {"latency_p99_ms", records[i].latency_p99_ms},
+           {"bytes_moved", static_cast<double>(records[i].bytes_moved)}});
     }
     // Cache admission happens here, in the single-threaded accounting
     // pass, so insertion order is deterministic and failures (which the
@@ -406,8 +410,7 @@ std::vector<nas::EvaluationRecord> WorkflowEvaluator::evaluate_generation(
     if (memo_ && !records[i].failed) memo_->insert(records[i]);
     if (trace::enabled()) {
       trace::emit_instant(
-          "record.accounting", "nas", trace::now_us(), trace::kHostPid,
-          trace::current_tid(),
+          "record.accounting", "nas", trace::now_us(), trace::kHostPid, lane,
           {{"model_id", static_cast<double>(records[i].model_id)},
            {"failed", records[i].failed ? 1.0 : 0.0},
            {"engine_overhead_seconds", records[i].engine_overhead_seconds},

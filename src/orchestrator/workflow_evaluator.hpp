@@ -40,16 +40,19 @@ class WorkflowEvaluator : public nas::Evaluator {
   /// the replay asks for the same genomes in the same order.
   void preload_records(std::vector<nas::EvaluationRecord> records);
 
-  /// How many evaluations were satisfied from preloaded records.
-  std::size_t resumed_count() const { return resumed_; }
+  /// How many evaluations were satisfied from preloaded records
+  /// ("nas.resumed_evaluations").
+  std::size_t resumed_count() const { return read("nas.resumed_evaluations"); }
 
   /// Preloaded records whose stored genome did not match the re-requested
   /// one (stale commons from a different seed/config): retrained instead.
-  std::size_t genome_mismatches() const { return genome_mismatches_; }
+  std::size_t genome_mismatches() const {
+    return read("nas.genome_mismatches");
+  }
 
   /// Evaluations whose job exhausted its retries. The records exist (with
   /// failed=true) but carry no fitness and are excluded from the commons.
-  std::size_t failed_count() const { return failed_; }
+  std::size_t failed_count() const { return read("nas.failed_evaluations"); }
 
   /// Attach the search-time fitness memo-cache (null detaches). In kCold/
   /// kOn modes per-model training seeds become genome-keyed
@@ -62,8 +65,10 @@ class WorkflowEvaluator : public nas::Evaluator {
   void set_memo(nas::FitnessMemo* memo) { memo_ = memo; }
 
   /// Evaluations satisfied by memo-cache replay / by ancestor warm starts.
-  std::size_t memo_hits() const { return memo_hits_; }
-  std::size_t inherited_count() const { return inherited_; }
+  std::size_t memo_hits() const { return read("nas.memo_hits"); }
+  std::size_t inherited_count() const {
+    return read("nas.inherited_evaluations");
+  }
 
   /// Attach a latency probe (null detaches; must outlive the evaluator).
   /// During the accounting pass every non-failed record whose stored
@@ -78,7 +83,7 @@ class WorkflowEvaluator : public nas::Evaluator {
 
   /// Records latency-probed so far (re-probes; fingerprint matches reuse
   /// the stored timing and are not counted).
-  std::size_t probed_count() const { return probed_; }
+  std::size_t probed_count() const { return read("latency.probes"); }
 
   /// Objective mode of the owning search. Stamped into remote job payloads
   /// (cluster::JobRequest.objective, serialized only when not kFlops) so
@@ -95,12 +100,14 @@ class WorkflowEvaluator : public nas::Evaluator {
   /// engine-overhead bucket) tells the difference. Off by default so
   /// existing counter expectations are undisturbed.
   void set_coalesce(bool on) { coalesce_ = on; }
-  std::size_t coalesced_count() const { return coalesced_; }
+  std::size_t coalesced_count() const { return read("nas.coalesced"); }
 
-  /// Attach a metrics registry: evaluation and engine-overhead counters are
-  /// accumulated there (in record order, so they bit-match the RunSummary
-  /// ad-hoc totals). Pass nullptr to detach; must outlive the evaluator.
-  void set_metrics(util::metrics::Registry* registry) { metrics_ = registry; }
+  /// Attach a metrics registry: every evaluation count and engine-overhead
+  /// bucket is accumulated there (in record order, so they bit-match sums
+  /// over the history), and the count accessors above read it back. With
+  /// nullptr the evaluator counts into a registry it owns. Attach before
+  /// the first generation; the registry must outlive the evaluator.
+  void set_metrics(util::metrics::Registry* registry);
 
   /// Fault injection: simulate process death after `n` freshly-trained
   /// records have been flushed to the commons (0 disables). The tracker is
@@ -128,6 +135,9 @@ class WorkflowEvaluator : public nas::Evaluator {
   /// Incremental checkpoint: persist a finished record immediately (not at
   /// the generation barrier) so a crash loses at most the in-flight jobs.
   void flush_record(const nas::EvaluationRecord& record);
+  std::size_t read(const char* counter) const {
+    return static_cast<std::size_t>(metrics_->counter(counter).value());
+  }
 
   const TrainingLoop* loop_;
   sched::ResourceManager* cluster_;
@@ -137,18 +147,12 @@ class WorkflowEvaluator : public nas::Evaluator {
   int next_model_id_ = 0;
   std::vector<sched::GenerationSchedule> schedules_;
   std::map<int, nas::EvaluationRecord> resume_pool_;
-  std::size_t resumed_ = 0;
-  std::size_t genome_mismatches_ = 0;
-  std::size_t failed_ = 0;
   nas::FitnessMemo* memo_ = nullptr;
-  std::size_t memo_hits_ = 0;
-  std::size_t inherited_ = 0;
   const latency::LatencyProbe* probe_ = nullptr;
-  std::size_t probed_ = 0;
   nas::ObjectiveMode objective_ = nas::ObjectiveMode::kFlops;
   bool coalesce_ = false;
-  std::size_t coalesced_ = 0;
-  util::metrics::Registry* metrics_ = nullptr;
+  util::metrics::Registry own_metrics_;
+  util::metrics::Registry* metrics_ = &own_metrics_;
   std::size_t crash_after_ = 0;
   std::atomic<std::size_t> flushed_{0};
   std::atomic<bool> crashed_{false};

@@ -100,7 +100,10 @@ void quarantine_artifact(const fs::path& root, const fs::path& file,
 }  // namespace
 
 ModelRegistry::ModelRegistry(RegistryConfig config)
-    : config_(std::move(config)) {
+    : config_(std::move(config)),
+      metrics_(config_.metrics ? config_.metrics : &own_metrics_) {
+  static constexpr const char* kCounted[] = {"quant.quantizations"};
+  util::metrics::declare(*metrics_, kCounted);
   if (config_.policy == ChampionPolicy::kMeasuredP99 && config_.quantize &&
       !config_.eval_data)
     throw std::invalid_argument(
@@ -120,7 +123,7 @@ std::size_t ModelRegistry::quarantined_count() const {
 
 bool ModelRegistry::refresh() {
   util::trace::Scope span("registry.refresh", "serve");
-  if (config_.metrics) config_.metrics->counter("serve.registry.refreshes").add();
+  metrics_->counter("serve.registry.refreshes").add();
   lineage::DataCommons commons(config_.commons_root);
 
   // Scan record trails one by one (a corrupt record must cost only itself,
@@ -180,8 +183,8 @@ bool ModelRegistry::refresh() {
         if (active_ && active_->info.model_id == record.model_id &&
             active_->info.epoch == *it) {
           quarantined_ += newly_quarantined;
-          if (config_.metrics && newly_quarantined > 0)
-            config_.metrics->counter("serve.registry.quarantined")
+          if (newly_quarantined > 0)
+            metrics_->counter("serve.registry.quarantined")
                 .add(static_cast<double>(newly_quarantined));
           return false;  // champion unchanged; keep the live generation
         }
@@ -210,8 +213,8 @@ bool ModelRegistry::refresh() {
   // previous generation if there is one, never a damaged model.
   std::lock_guard<std::mutex> lock(mutex_);
   quarantined_ += newly_quarantined;
-  if (config_.metrics && newly_quarantined > 0)
-    config_.metrics->counter("serve.registry.quarantined")
+  if (newly_quarantined > 0)
+    metrics_->counter("serve.registry.quarantined")
         .add(static_cast<double>(newly_quarantined));
   if (active_) {
     util::log_warn("registry: refresh found no loadable champion; keeping "
@@ -259,26 +262,24 @@ bool ModelRegistry::publish(std::shared_ptr<ServableGeneration> generation,
   generation->info.generation = next_generation_++;
   active_ = std::move(generation);
   quarantined_ += newly_quarantined;
-  if (config_.metrics) {
-    auto& m = *config_.metrics;
-    m.counter("serve.registry.publishes").add();
-    if (newly_quarantined > 0)
-      m.counter("serve.registry.quarantined")
-          .add(static_cast<double>(newly_quarantined));
-    m.gauge("serve.registry.generation")
-        .set(static_cast<double>(active_->info.generation));
-    m.gauge("serve.registry.champion_model_id")
-        .set(static_cast<double>(active_->info.model_id));
-    m.gauge("serve.registry.champion_epoch")
-        .set(static_cast<double>(active_->info.epoch));
-    m.gauge("serve.registry.champion_fitness").set(active_->info.fitness);
-    m.gauge("serve.registry.champion_flops")
-        .set(static_cast<double>(active_->info.flops));
-    if (config_.policy == ChampionPolicy::kMeasuredP99) {
-      m.gauge("serve.registry.champion_p99_ms").set(active_->info.p99_ms);
-      m.gauge("serve.registry.champion_quantized")
-          .set(active_->info.quantized ? 1.0 : 0.0);
-    }
+  auto& m = *metrics_;
+  m.counter("serve.registry.publishes").add();
+  if (newly_quarantined > 0)
+    m.counter("serve.registry.quarantined")
+        .add(static_cast<double>(newly_quarantined));
+  m.gauge("serve.registry.generation")
+      .set(static_cast<double>(active_->info.generation));
+  m.gauge("serve.registry.champion_model_id")
+      .set(static_cast<double>(active_->info.model_id));
+  m.gauge("serve.registry.champion_epoch")
+      .set(static_cast<double>(active_->info.epoch));
+  m.gauge("serve.registry.champion_fitness").set(active_->info.fitness);
+  m.gauge("serve.registry.champion_flops")
+      .set(static_cast<double>(active_->info.flops));
+  if (config_.policy == ChampionPolicy::kMeasuredP99) {
+    m.gauge("serve.registry.champion_p99_ms").set(active_->info.p99_ms);
+    m.gauge("serve.registry.champion_quantized")
+        .set(active_->info.quantized ? 1.0 : 0.0);
   }
   util::trace::emit_instant(
       "registry.publish", "serve", util::trace::now_us(),
@@ -360,11 +361,9 @@ bool ModelRegistry::refresh_measured(
           const double float_acc = candidate.model.evaluate(*eval).accuracy;
           const double int8_acc = quantized_accuracy(qm, *eval);
           candidate.drop_pct = float_acc - int8_acc;
-          if (config_.metrics)
-            config_.metrics->counter("quant.quantizations").add();
-          util::trace::emit_instant(
-              "quant.quantize", "quant", util::trace::now_us(),
-              util::trace::kHostPid, util::trace::current_tid(),
+          util::metrics::count(
+              *metrics_, "quant.quantizations", util::trace::kHostPid,
+              util::trace::current_tid(),
               {{"model_id", static_cast<double>(record.model_id)},
                {"accuracy_drop_pct", candidate.drop_pct}});
           // The epsilon guard is absolute: an int8 variant that costs more
@@ -399,8 +398,8 @@ bool ModelRegistry::refresh_measured(
   if (measured.empty()) {
     std::lock_guard<std::mutex> lock(mutex_);
     quarantined_ += newly_quarantined;
-    if (config_.metrics && newly_quarantined > 0)
-      config_.metrics->counter("serve.registry.quarantined")
+    if (newly_quarantined > 0)
+      metrics_->counter("serve.registry.quarantined")
           .add(static_cast<double>(newly_quarantined));
     if (active_) {
       util::log_warn("registry: measured refresh found no loadable "
@@ -440,8 +439,8 @@ bool ModelRegistry::refresh_measured(
         active_->info.epoch == champion.epoch &&
         active_->info.quantized == champion.use_int8) {
       quarantined_ += newly_quarantined;
-      if (config_.metrics && newly_quarantined > 0)
-        config_.metrics->counter("serve.registry.quarantined")
+      if (newly_quarantined > 0)
+        metrics_->counter("serve.registry.quarantined")
             .add(static_cast<double>(newly_quarantined));
       return false;  // same champion, same variant: keep the generation
     }

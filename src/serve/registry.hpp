@@ -56,8 +56,8 @@ struct RegistryConfig {
   /// budget are considered (deployment-side constraint; the Pareto front
   /// is recomputed over the eligible set).
   std::uint64_t max_flops = 0;
-  /// Counters/gauges land here when set (serve.registry.*). Must outlive
-  /// the registry. Nullable.
+  /// Counters/gauges land here (serve.registry.*, quant.quantizations).
+  /// Must outlive the registry. Nullable: the registry then keeps its own.
   util::metrics::Registry* metrics = nullptr;
 
   // --- measured-p99 policy knobs (ignored by the analytic policies) ----
@@ -156,6 +156,8 @@ class ModelRegistry {
                std::size_t newly_quarantined);
 
   RegistryConfig config_;
+  util::metrics::Registry own_metrics_;
+  util::metrics::Registry* metrics_;
   mutable std::mutex mutex_;
   std::shared_ptr<ServableGeneration> active_;
   std::uint64_t next_generation_ = 1;

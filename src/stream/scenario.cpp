@@ -22,14 +22,6 @@ namespace a4nn::stream {
 
 namespace {
 
-void note(util::metrics::Counter* counter, const char* event, int tid) {
-  // Counter and event increment at the same point — check_trace.py holds
-  // every stream.* counter equal to its pid-4 instant-event twin.
-  if (counter) counter->add();
-  util::trace::emit_instant(event, "stream", util::trace::now_us(),
-                            util::trace::kStreamPid, tid);
-}
-
 std::uint64_t mix64(std::uint64_t z) {
   z += 0x9E3779B97F4A7C15ULL;
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
@@ -167,20 +159,14 @@ StreamResult StreamScenario::run() {
   if (fault_config.seed == 0) fault_config.seed = config_.seed ^ 0xA4A4ULL;
   const util::FaultInjector faults(fault_config);
 
-  util::metrics::Counter* c_windows = nullptr;
-  util::metrics::Counter* c_fired = nullptr;
-  util::metrics::Counter* c_acked = nullptr;
-  util::metrics::Counter* c_completed = nullptr;
-  util::metrics::Counter* c_shed = nullptr;
-  util::metrics::Counter* c_corrupt = nullptr;
-  if (config_.metrics) {
-    c_windows = &config_.metrics->counter("stream.windows");
-    c_fired = &config_.metrics->counter("stream.triggers_fired");
-    c_acked = &config_.metrics->counter("stream.triggers_acked");
-    c_completed = &config_.metrics->counter("stream.triggers_completed");
-    c_shed = &config_.metrics->counter("stream.triggers_shed");
-    c_corrupt = &config_.metrics->counter("stream.corrupt_frames");
-  }
+  util::metrics::Registry own_metrics;
+  util::metrics::Registry& metrics =
+      config_.metrics ? *config_.metrics : own_metrics;
+  static constexpr const char* kCounted[] = {
+      "stream.windows",         "stream.triggers_fired",
+      "stream.triggers_acked",  "stream.triggers_completed",
+      "stream.triggers_shed",   "stream.corrupt_frames"};
+  util::metrics::declare(metrics, kCounted);
   util::trace::name_process(util::trace::kStreamPid, "stream supervisor");
 
   serve::EngineConfig engine_config = config_.engine;
@@ -235,7 +221,9 @@ StreamResult StreamScenario::run() {
   // ---- recovery action execution (recovery child thread) ----------------
   auto execute_action = [&](const RecoveryTask& task,
                             Supervisor::Context& ctx) {
-    if (journal.ack(task.action_id)) note(c_acked, "trigger.acked", 3);
+    if (journal.ack(task.action_id))
+      util::metrics::count(metrics, "stream.triggers_acked",
+                           util::trace::kStreamPid, 3);
     ctx.heartbeat();
     lineage::DataCommons commons(config_.commons_root);
 
@@ -358,7 +346,8 @@ StreamResult StreamScenario::run() {
     const auto active = registry.active();
     if (journal.complete(task.action_id, active->info.model_id,
                          active->info.epoch))
-      note(c_completed, "trigger.completed", 3);
+      util::metrics::count(metrics, "stream.triggers_completed",
+                           util::trace::kStreamPid, 3);
   };
 
   auto recovery_body = [&](Supervisor::Context& ctx) {
@@ -427,17 +416,21 @@ StreamResult StreamScenario::run() {
     };
 
     auto handle_window = [&](const WindowStats& w) {
-      note(c_windows, "drift.window", 2);
+      util::metrics::count(metrics, "stream.windows", util::trace::kStreamPid,
+                           2);
       if (const auto it = pending_at.find(w.index); it != pending_at.end()) {
         dispatch_recovery(it->second, w.index);
         pending_at.erase(it);
       } else if (w.fired) {
         if (recovery_dead.load()) {
           shed_count.fetch_add(1);
-          note(c_shed, "trigger.shed", 2);
+          util::metrics::count(metrics, "stream.triggers_shed",
+                               util::trace::kStreamPid, 2);
         } else {
           const std::uint64_t id = journal.next_action_id();
-          if (journal.fire(id, w.index)) note(c_fired, "trigger.fired", 2);
+          if (journal.fire(id, w.index))
+            util::metrics::count(metrics, "stream.triggers_fired",
+                                 util::trace::kStreamPid, 2);
           dispatch_recovery(id, w.index);
         }
       }
@@ -478,7 +471,8 @@ StreamResult StreamScenario::run() {
           }
       if (bad) {
         corrupt_dropped.fetch_add(1);
-        note(c_corrupt, "frame.corrupt_drop", 2);
+        util::metrics::count(metrics, "stream.corrupt_frames",
+                             util::trace::kStreamPid, 2);
         continue;
       }
       auto sub = engine.submit(frame->image);

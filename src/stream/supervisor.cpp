@@ -54,28 +54,19 @@ struct Supervisor::Child {
   Clock::time_point restart_due;
 };
 
-Supervisor::Supervisor(SupervisorConfig config) : config_(config) {
-  if (config_.metrics) {
-    c_restarts_ = &config_.metrics->counter("stream.child_restarts");
-    c_crashes_ = &config_.metrics->counter("stream.child_crashes");
-    c_stalls_ = &config_.metrics->counter("stream.watchdog_stalls");
-    c_degraded_ = &config_.metrics->counter("stream.degraded_entries");
-  }
+Supervisor::Supervisor(SupervisorConfig config)
+    : config_(config),
+      metrics_(config_.metrics ? config_.metrics : &own_metrics_) {
+  static constexpr const char* kCounted[] = {
+      "stream.child_restarts", "stream.child_crashes",
+      "stream.watchdog_stalls", "stream.degraded_entries"};
+  util::metrics::declare(*metrics_, kCounted);
 }
 
 Supervisor::~Supervisor() { stop_all(); }
 
 void Supervisor::on_exhausted(std::function<void(const std::string&)> cb) {
   on_exhausted_ = std::move(cb);
-}
-
-void Supervisor::note(util::metrics::Counter* counter, const char* event,
-                      int tid) {
-  // Counter and trace event increment at the same point so check_trace.py
-  // can hold stream.* counters equal to their pid-4 event twins.
-  if (counter) counter->add();
-  util::trace::emit_instant(event, "stream", util::trace::now_us(),
-                            util::trace::kStreamPid, tid);
 }
 
 void Supervisor::spawn(std::string name, ChildPolicy policy, Body body,
@@ -125,8 +116,8 @@ void Supervisor::start_incarnation(Child& child) {
       if (self->inc == inc) {
         self->state = ChildState::kCrashed;
         self->error = e.what();
-        crashes_.fetch_add(1);
-        note(c_crashes_, "child.crash", self->tid);
+        util::metrics::count(*metrics_, "stream.child_crashes",
+                             util::trace::kStreamPid, self->tid);
         const double backoff = std::min(
             self->policy.backoff_cap_ms,
             self->policy.backoff_base_ms *
@@ -170,8 +161,8 @@ void Supervisor::monitor_loop() {
               std::chrono::duration<double, std::milli>(Clock::now() - last)
                   .count();
           if (silent_ms > child->policy.watchdog_ms) {
-            stalls_.fetch_add(1);
-            note(c_stalls_, "child.stall", child->tid);
+            util::metrics::count(*metrics_, "stream.watchdog_stalls",
+                                 util::trace::kStreamPid, child->tid);
             util::log_warn("stream: watchdog: " + child->name +
                            " silent for " + std::to_string(silent_ms) +
                            "ms, reclaiming");
@@ -191,15 +182,15 @@ void Supervisor::monitor_loop() {
           if (child->restarts >= child->policy.max_restarts) {
             child->state = ChildState::kExhausted;
             degraded_.store(true);
-            degraded_entries_.fetch_add(1);
-            note(c_degraded_, "child.degraded", child->tid);
+            util::metrics::count(*metrics_, "stream.degraded_entries",
+                                 util::trace::kStreamPid, child->tid);
             util::log_warn("stream: " + child->name +
                            " exhausted its restart budget — degraded mode");
             if (on_exhausted_) exhausted.push_back(child->name);
           } else {
             ++child->restarts;
-            restarts_.fetch_add(1);
-            note(c_restarts_, "child.restart", child->tid);
+            util::metrics::count(*metrics_, "stream.child_restarts",
+                                 util::trace::kStreamPid, child->tid);
             start_incarnation(*child);
           }
         }

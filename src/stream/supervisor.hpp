@@ -45,7 +45,8 @@ struct ChildPolicy {
 
 struct SupervisorConfig {
   double poll_ms = 5.0;
-  /// stream.* counters land here (nullable; must outlive the supervisor).
+  /// stream.* counters land here (nullable: the supervisor then counts
+  /// into a registry it owns; must outlive the supervisor).
   util::metrics::Registry* metrics = nullptr;
 };
 
@@ -96,10 +97,12 @@ class Supervisor {
   bool child_exhausted(const std::string& name) const;
   std::string child_error(const std::string& name) const;
 
-  std::size_t restarts() const { return restarts_.load(); }
-  std::size_t crashes() const { return crashes_.load(); }
-  std::size_t stalls() const { return stalls_.load(); }
-  std::size_t degraded_entries() const { return degraded_entries_.load(); }
+  std::size_t restarts() const { return read("stream.child_restarts"); }
+  std::size_t crashes() const { return read("stream.child_crashes"); }
+  std::size_t stalls() const { return read("stream.watchdog_stalls"); }
+  std::size_t degraded_entries() const {
+    return read("stream.degraded_entries");
+  }
 
  private:
   enum class ChildState { kRunning, kDone, kCrashed, kStalled, kExhausted };
@@ -107,25 +110,20 @@ class Supervisor {
 
   void start_incarnation(Child& child);
   void monitor_loop();
-  void note(util::metrics::Counter* counter, const char* event, int tid);
+  std::size_t read(const char* counter) const {
+    return static_cast<std::size_t>(metrics_->counter(counter).value());
+  }
 
   SupervisorConfig config_;
   std::function<void(const std::string&)> on_exhausted_;
-
-  util::metrics::Counter* c_restarts_ = nullptr;
-  util::metrics::Counter* c_crashes_ = nullptr;
-  util::metrics::Counter* c_stalls_ = nullptr;
-  util::metrics::Counter* c_degraded_ = nullptr;
+  util::metrics::Registry own_metrics_;
+  util::metrics::Registry* metrics_;
 
   mutable std::mutex mutex_;
   std::vector<std::unique_ptr<Child>> children_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> degraded_{false};
   std::atomic<bool> interrupted_{false};
-  std::atomic<std::size_t> restarts_{0};
-  std::atomic<std::size_t> crashes_{0};
-  std::atomic<std::size_t> stalls_{0};
-  std::atomic<std::size_t> degraded_entries_{0};
   std::thread monitor_;
   bool monitor_started_ = false;
   bool stopped_ = false;

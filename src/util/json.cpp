@@ -229,6 +229,7 @@ class Parser {
  private:
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 
   [[noreturn]] void fail(const std::string& msg) const {
     throw JsonError("JSON parse error at offset " + std::to_string(pos_) +
@@ -274,8 +275,8 @@ class Parser {
     skip_ws();
     char c = peek();
     switch (c) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{': return nested(&Parser::parse_object);
+      case '[': return nested(&Parser::parse_array);
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -288,6 +289,14 @@ class Parser {
         fail("invalid literal");
       default: return parse_number();
     }
+  }
+
+  Json nested(Json (Parser::*parse_container)()) {
+    if (++depth_ > Json::kMaxDepth)
+      fail("nesting deeper than " + std::to_string(Json::kMaxDepth));
+    Json v = (this->*parse_container)();
+    --depth_;
+    return v;
   }
 
   Json parse_object() {
@@ -408,6 +417,21 @@ class Parser {
 
 Json Json::parse(const std::string& text) {
   return Parser(text).parse_document();
+}
+
+std::string u64_to_hex(std::uint64_t v) {
+  char buf[17];
+  auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v, 16);
+  if (ec != std::errc{}) throw JsonError("u64_to_hex: conversion failed");
+  return std::string(buf, ptr);
+}
+
+std::uint64_t hex_to_u64(const std::string& s) {
+  std::uint64_t v = 0;
+  auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v, 16);
+  if (ec != std::errc{} || ptr != s.data() + s.size())
+    throw JsonError("hex_to_u64: malformed value '" + s + "'");
+  return v;
 }
 
 }  // namespace a4nn::util

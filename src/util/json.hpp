@@ -93,6 +93,10 @@ class Json {
   /// prints with that many spaces per level.
   std::string dump(int indent = -1) const;
 
+  /// Deepest array/object nesting parse() accepts; one level more throws
+  /// JsonError instead of recursing until the stack overflows.
+  static constexpr int kMaxDepth = 256;
+
   /// Parse a complete document; trailing garbage is an error.
   static Json parse(const std::string& text);
 
@@ -109,5 +113,11 @@ class Json {
 
   void dump_impl(std::string& out, int indent, int depth) const;
 };
+
+/// u64 <-> lowercase hex text, for values that must cross JSON exactly
+/// (JSON numbers are doubles; 2^53 is not enough for a mixed seed).
+/// hex_to_u64 throws JsonError on anything but a whole hex u64.
+std::string u64_to_hex(std::uint64_t v);
+std::uint64_t hex_to_u64(const std::string& s);
 
 }  // namespace a4nn::util

@@ -142,6 +142,21 @@ void Registry::reset() {
   for (auto& [name, h] : histograms_) h->reset();
 }
 
+void declare(Registry& registry, std::span<const char* const> names) {
+  for (const char* name : names) {
+    registry.counter(name);
+    trace::declare_counted(name);
+  }
+}
+
+void count(Registry& registry, const std::string& name, int pid, int tid,
+           std::vector<trace::Arg> args) {
+  registry.counter(name).add();
+  if (trace::enabled())
+    trace::emit_instant(name, name.substr(0, name.find('.')), trace::now_us(),
+                        pid, tid, std::move(args));
+}
+
 Registry& global() {
   static Registry registry;
   return registry;

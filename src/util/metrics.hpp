@@ -17,6 +17,13 @@
 // registry; references returned by counter()/gauge()/histogram() are
 // stable. `snapshot()` serializes everything into one util::Json document
 // (the RunSummary `metrics` block and the trace file's `metrics` key).
+//
+// Counted events (a worker failing, a trigger firing, a memo replay) go
+// through count(): one call bumps the counter and emits the trace instant
+// of the same name, so the two agree by construction. Each component
+// declares its counted names once (declare()), which lists them in the
+// trace document; scripts/check_trace.py holds every declared counter equal
+// to its instant count, including names that stayed at zero.
 #pragma once
 
 #include <atomic>
@@ -24,10 +31,12 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "util/json.hpp"
+#include "util/trace.hpp"
 
 namespace a4nn::util::metrics {
 
@@ -142,6 +151,16 @@ class Registry {
   std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
+
+/// Register each of `names` in `registry` (snapshots list it from zero) and
+/// in the trace's "counted" list. Call once per registry a component
+/// counts into, before its first count().
+void declare(Registry& registry, std::span<const char* const> names);
+
+/// Bump counter `name` by one and emit a trace instant of the same name on
+/// lane (pid, tid), category = the name's prefix before the first '.'.
+void count(Registry& registry, const std::string& name, int pid, int tid,
+           std::vector<trace::Arg> args = {});
 
 /// Process-wide registry for call sites with no instance plumbing (the
 /// GEMM driver, scratch arenas). Workflow runs use their own Registry so

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <map>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <utility>
 
@@ -35,6 +36,7 @@ struct Recorder {
   std::map<std::thread::id, int> thread_ids;
   std::map<int, std::string> process_names;
   std::map<std::pair<int, int>, std::string> thread_names;
+  std::set<std::string> counted;
 };
 
 Recorder& rec() {
@@ -68,6 +70,7 @@ void clear() {
   r.events.clear();
   r.process_names.clear();
   r.thread_names.clear();
+  r.counted.clear();
 }
 
 double now_us() {
@@ -132,6 +135,12 @@ void name_thread(int pid, int tid, std::string name) {
   r.thread_names[{pid, tid}] = std::move(name);
 }
 
+void declare_counted(std::string name) {
+  Recorder& r = rec();
+  std::lock_guard<std::mutex> lock(r.mutex);
+  r.counted.insert(std::move(name));
+}
+
 std::size_t event_count() {
   Recorder& r = rec();
   std::lock_guard<std::mutex> lock(r.mutex);
@@ -180,6 +189,11 @@ Json to_json(const Json* extra) {
   Json doc = Json::object();
   doc["traceEvents"] = std::move(events);
   doc["displayTimeUnit"] = "ms";
+  if (!r.counted.empty()) {
+    Json counted = Json::array();
+    for (const auto& name : r.counted) counted.push_back(Json(name));
+    doc["counted"] = std::move(counted);
+  }
   if (extra && extra->is_object()) {
     for (const auto& [key, value] : extra->as_object()) doc[key] = value;
   }

@@ -80,6 +80,12 @@ void emit_instant(std::string name, std::string cat, double ts_us, int pid,
 void name_process(int pid, std::string name);
 void name_thread(int pid, int tid, std::string name);
 
+/// List `name` under the document's top-level "counted" key: a counter
+/// whose same-named instants must number exactly its value (see
+/// metrics::count). Retained like lane names: across start()/stop(), but
+/// not clear().
+void declare_counted(std::string name);
+
 /// Dense id for the calling host thread (allocated on first use).
 int current_tid();
 
@@ -87,7 +93,9 @@ int current_tid();
 std::size_t event_count();
 
 /// Serialize the buffer as a Chrome-trace JSON document:
-///   {"traceEvents": [...], "displayTimeUnit": "ms", ...extra}
+///   {"traceEvents": [...], "displayTimeUnit": "ms", "counted": [...],
+///    ...extra}
+/// ("counted" only when some name was declared).
 /// `extra` top-level keys (e.g. a metrics snapshot) are merged in;
 /// chrome://tracing and Perfetto ignore keys they do not know.
 Json to_json(const Json* extra = nullptr);

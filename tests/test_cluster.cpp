@@ -204,8 +204,8 @@ TEST(Protocol, SeedHexSurvivesBeyondDoublePrecision) {
                                  0xFFFFFFFFFFFFFFFFull,
                                  0x9E3779B97F4A7C15ull};
   for (std::uint64_t s : seeds)
-    EXPECT_EQ(cluster::hex_to_u64(cluster::u64_to_hex(s)), s);
-  EXPECT_THROW(cluster::hex_to_u64("not hex"), std::runtime_error);
+    EXPECT_EQ(util::hex_to_u64(util::u64_to_hex(s)), s);
+  EXPECT_THROW(util::hex_to_u64("not hex"), std::runtime_error);
 }
 
 TEST(Protocol, JobRequestRoundTrip) {
@@ -214,7 +214,7 @@ TEST(Protocol, JobRequestRoundTrip) {
   req.job = (1ull << 40) + 3;
   req.model_id = 42;
   req.generation = 7;
-  req.seed_hex = cluster::u64_to_hex(0xABCDEF0123456789ull);
+  req.seed_hex = util::u64_to_hex(0xABCDEF0123456789ull);
   req.genome = nas::random_genome(3, 4, rng).to_json();
   const std::string wire = cluster::encode(MsgType::kJobRequest, req.to_json());
   util::StreamDecoder dec;
@@ -230,6 +230,19 @@ TEST(Protocol, JobRequestRoundTrip) {
   EXPECT_EQ(back.generation, 7);
   EXPECT_EQ(nas::Genome::from_json(back.genome).key(),
             nas::Genome::from_json(req.genome).key());
+}
+
+TEST(Protocol, DeeplyNestedBodyInACrcValidFrameThrows) {
+  // A CRC proves integrity, not good intent: a peer can frame any bytes.
+  const std::string body =
+      std::string(100000, '[') + std::string(100000, ']');
+  util::StreamDecoder dec;
+  dec.feed(util::encode_wire_frame(
+      static_cast<std::uint8_t>(MsgType::kJobResult), body));
+  util::WireFrame f;
+  ASSERT_TRUE(dec.next(f));
+  EXPECT_EQ(dec.corrupt_frames(), 0u);
+  EXPECT_THROW(cluster::parse_body(f), util::JsonError);
 }
 
 // ---------------------------------------------------------------------------
@@ -255,7 +268,7 @@ util::Json job_payload(int model_id) {
   p["job"] = 0.0;
   p["model_id"] = model_id;
   p["generation"] = 1;
-  p["seed"] = cluster::u64_to_hex(1234);
+  p["seed"] = util::u64_to_hex(1234);
   util::Rng rng(static_cast<std::uint64_t>(model_id) + 1);
   p["genome"] = nas::random_genome(2, 3, rng).to_json();
   return p;

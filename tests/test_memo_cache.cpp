@@ -246,7 +246,7 @@ TEST(MemoCache, TwoWorkerClusterRunMatchesSoloRun) {
   auto serve = [&](const cluster::JobRequest& req) {
     const nas::Genome genome = nas::Genome::from_json(req.genome);
     nas::EvaluationRecord record = worker_loop.train_genome(
-        genome, wspace, req.model_id, cluster::hex_to_u64(req.seed_hex));
+        genome, wspace, req.model_id, util::hex_to_u64(req.seed_hex));
     record.generation = req.generation;
     return record.to_json();
   };

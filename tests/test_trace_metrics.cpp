@@ -5,11 +5,15 @@
 // trace file's span arguments carrying the same exact numbers.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <map>
+#include <set>
+#include <stdexcept>
 
 #include "analytics/analyzer.hpp"
 #include "core/a4nn.hpp"
 #include "sched/resource_manager.hpp"
+#include "util/fsutil.hpp"
 #include "util/metrics.hpp"
 #include "util/trace.hpp"
 
@@ -205,6 +209,43 @@ TEST(Trace, RecordsSpansAndSerializesChromeTraceJson) {
   EXPECT_EQ(trace::event_count(), 0u);
 }
 
+// One call counts and traces: the instant carries the counter's name, the
+// name's prefix as category, and the caller's lane and arguments; declared
+// names reach both the registry and the trace document from zero.
+TEST(Trace, CountBumpsTheCounterAndEmitsItsInstant) {
+  TraceGuard guard;
+  trace::clear();
+  metrics::Registry reg;
+  static constexpr const char* kNames[] = {"demo.hits", "demo.misses"};
+  metrics::declare(reg, kNames);
+  metrics::count(reg, "demo.hits", trace::kClusterPid, 2);  // tracing off
+  EXPECT_EQ(trace::event_count(), 0u);
+
+  trace::start();
+  metrics::count(reg, "demo.hits", trace::kClusterPid, 2, {{"model_id", 7.0}});
+  trace::stop();
+  EXPECT_DOUBLE_EQ(reg.counter("demo.hits").value(), 2.0);
+
+  const Json doc = trace::to_json();
+  const JsonArray& counted = doc.at("counted").as_array();
+  ASSERT_EQ(counted.size(), 2u);
+  EXPECT_EQ(counted[0].as_string(), "demo.hits");
+  EXPECT_EQ(counted[1].as_string(), "demo.misses");
+  EXPECT_DOUBLE_EQ(
+      reg.snapshot().at("counters").at("demo.misses").as_number(), 0.0);
+  std::size_t instants = 0;
+  for (const Json& e : doc.at("traceEvents").as_array()) {
+    if (e.at("name").as_string() != "demo.hits") continue;
+    ++instants;
+    EXPECT_EQ(e.at("ph").as_string(), "i");
+    EXPECT_EQ(e.at("cat").as_string(), "demo");
+    EXPECT_EQ(e.at("pid").as_int(), trace::kClusterPid);
+    EXPECT_EQ(e.at("tid").as_int(), 2);
+    EXPECT_DOUBLE_EQ(e.at("args").at("model_id").as_number(), 7.0);
+  }
+  EXPECT_EQ(instants, 1u);  // only the bump made while tracing was on
+}
+
 // The virtual-timeline spans carry the scheduler's exact accounting: the
 // "job N" span on each GPU lane holds that placement's final retry count
 // and wasted seconds, and the fault events mirror the schedule's fault
@@ -378,6 +419,139 @@ TEST(WorkflowMetrics, MetricsBlockExistsWithTracingOff) {
   const util::Json j = result.summary.to_json();
   EXPECT_TRUE(j.contains("metrics"));
   EXPECT_TRUE(j.at("metrics").contains("counters"));
+}
+
+/// A TrainingLoop whose jobs for chosen model ids throw on every attempt
+/// (the permanently failing job of test_phantom_records).
+class FlakyLoop : public orchestrator::TrainingLoop {
+ public:
+  using TrainingLoop::TrainingLoop;
+
+  nas::EvaluationRecord train_genome(const nas::Genome& genome,
+                                     const nas::SearchSpaceConfig& space,
+                                     int model_id,
+                                     std::uint64_t seed) const override {
+    if (poisoned.count(model_id))
+      throw std::runtime_error("injected permanent failure");
+    return TrainingLoop::train_genome(genome, space, model_id, seed);
+  }
+
+  std::set<int> poisoned;
+};
+
+struct CountedRun {
+  nas::SearchResult search;
+  core::RunSummary summary;
+  std::size_t commons_records = 0;
+};
+
+/// One search with memo on, duplicates allowed, coalescing, optional
+/// weight inheritance and resume, and model 1 failing permanently; its
+/// summary is filled from the registry exactly as A4nnWorkflow::run() does.
+CountedRun counted_run(const xfel::XfelDataset& data,
+                       const std::filesystem::path& root, bool inherit,
+                       bool resume) {
+  nas::NsgaNetConfig nas_cfg;
+  nas_cfg.population_size = 6;
+  nas_cfg.offspring_per_generation = 6;
+  nas_cfg.generations = 3;
+  nas_cfg.max_epochs = 4;
+  nas_cfg.allow_duplicates = true;
+  // Model 1's genome is never trained again by a later model under this
+  // seed. Were it, the warm memo would serve model 1 on resume (the failure
+  // is injected by model id, not by genome) and the resumed search would
+  // legitimately leave the original's path.
+  nas_cfg.seed = 1;
+  nas_cfg.space.phase_count = 2;
+  nas_cfg.space.nodes_per_phase = 2;
+  nas_cfg.space.input_shape = {1, 8, 8};
+  nas_cfg.space.stem_channels = 4;
+  nas_cfg.space.classes = data.train.num_classes();
+  orchestrator::TrainerConfig trainer;
+  trainer.max_epochs = 4;
+  trainer.batch_size = 16;
+  trainer.engine.e_pred = 4.0;
+  trainer.inherit_weights = inherit;
+  trainer.inherit_epoch_fraction = 0.5;
+
+  metrics::Registry registry;
+  lineage::LineageTracker tracker({root, 1});
+  FlakyLoop loop(data.train, data.validation, trainer, &tracker);
+  loop.poisoned = {1};
+  sched::ClusterConfig cluster_cfg;
+  cluster_cfg.num_gpus = 2;
+  sched::ResourceManager cluster(cluster_cfg);
+  nas::FitnessMemo memo(nas::MemoMode::kOn);
+  orchestrator::WorkflowEvaluator evaluator(loop, cluster, nas_cfg.space, 5,
+                                            &tracker);
+  evaluator.set_metrics(&registry);
+  evaluator.set_memo(&memo);
+  evaluator.set_coalesce(true);
+  CountedRun out;
+  if (resume) {
+    std::vector<nas::EvaluationRecord> stored =
+        lineage::DataCommons(root).load_records();
+    out.commons_records = stored.size();
+    memo.warm(stored);
+    evaluator.preload_records(std::move(stored));
+  }
+  nas::NsgaNetSearch search(nas_cfg, evaluator);
+  out.search = search.run();
+  out.summary.read_metrics(registry.snapshot());
+  return out;
+}
+
+/// RunSummary's counts are registry reads; the history's flags are the
+/// ground truth they must agree with.
+void expect_counts_match_history(const CountedRun& run) {
+  std::size_t replayed = 0, coalesced = 0, inherited = 0, failed = 0;
+  for (const auto& r : run.search.history) {
+    if (r.replayed) ++replayed;
+    if (r.coalesced && !r.failed) ++coalesced;
+    if (r.inherited_from_model >= 0 && !r.replayed) ++inherited;
+    if (r.failed) ++failed;
+  }
+  EXPECT_EQ(run.summary.memo_hits, replayed);
+  EXPECT_EQ(run.summary.coalesced_evaluations, coalesced);
+  EXPECT_EQ(run.summary.inherited_starts, inherited);
+  EXPECT_EQ(run.summary.failed_evaluations, failed);
+}
+
+TEST(WorkflowMetrics, SummaryCountsEqualAWalkOverTheHistory) {
+  xfel::XfelDatasetConfig data_cfg;
+  data_cfg.images_per_class = 12;
+  data_cfg.detector.pixels = 8;
+  data_cfg.intensity = xfel::BeamIntensity::kHigh;
+  const xfel::XfelDataset data = xfel::generate_xfel_dataset(data_cfg);
+
+  // A warm-starting child never takes a memo hit or joins a coalesced
+  // group, so inheritance on leaves those paths idle: run both ways so
+  // every count is non-zero in at least one of the two.
+  for (const bool inherit : {true, false}) {
+    SCOPED_TRACE(inherit ? "inheritance on" : "inheritance off");
+    const std::filesystem::path root = util::make_temp_dir("a4nn_counts");
+    const CountedRun first = counted_run(data, root, inherit, false);
+    expect_counts_match_history(first);
+    EXPECT_EQ(first.summary.failed_evaluations, 1u);
+    EXPECT_EQ(first.summary.resumed_evaluations, 0u);
+    if (inherit) {
+      EXPECT_GT(first.summary.inherited_starts, 0u);
+    } else {
+      EXPECT_GT(first.summary.memo_hits, 0u);
+      EXPECT_GT(first.summary.coalesced_evaluations, 0u);
+    }
+
+    // Resume from the commons. The failure never reached it, so all N
+    // records it holds are reused and only the failed job runs again.
+    const CountedRun resumed = counted_run(data, root, inherit, true);
+    expect_counts_match_history(resumed);
+    const std::size_t n = first.search.history.size() - 1;
+    EXPECT_EQ(resumed.commons_records, n);
+    EXPECT_EQ(resumed.summary.resumed_evaluations, n);
+    EXPECT_EQ(resumed.summary.genome_mismatches, 0u);
+    EXPECT_EQ(resumed.summary.failed_evaluations, 1u);
+    std::filesystem::remove_all(root);
+  }
 }
 
 }  // namespace

@@ -93,6 +93,34 @@ TEST(Json, ParseErrors) {
   EXPECT_THROW(Json::parse("\"unterminated"), JsonError);
 }
 
+std::string nested_arrays(std::size_t depth) {
+  return std::string(depth, '[') + std::string(depth, ']');
+}
+
+TEST(Json, NestingAtTheDepthLimitParses) {
+  const Json j = Json::parse(nested_arrays(Json::kMaxDepth));
+  const Json* inner = &j;
+  for (int d = 1; d < Json::kMaxDepth; ++d) inner = &inner->at(0);
+  EXPECT_EQ(inner->size(), 0u);
+  // Objects count toward the same limit.
+  std::string objects;
+  for (int d = 0; d < Json::kMaxDepth; ++d) objects += "{\"k\":";
+  objects += "1" + std::string(Json::kMaxDepth, '}');
+  EXPECT_NO_THROW(Json::parse(objects));
+}
+
+TEST(Json, NestingPastTheDepthLimitThrows) {
+  EXPECT_THROW(Json::parse(nested_arrays(Json::kMaxDepth + 1)), JsonError);
+  std::string mixed = "{\"a\":" + nested_arrays(Json::kMaxDepth) + "}";
+  EXPECT_THROW(Json::parse(mixed), JsonError);
+}
+
+TEST(Json, HundredThousandDeepDocumentThrowsInsteadOfCrashing) {
+  // Unbounded recursion used to overflow the stack on this input.
+  EXPECT_THROW(Json::parse(std::string(100000, '[')), JsonError);
+  EXPECT_THROW(Json::parse(nested_arrays(100000)), JsonError);
+}
+
 TEST(Json, DumpParseRoundTrip) {
   Json j = Json::object();
   j["name"] = "model_42";
