@@ -8,7 +8,10 @@ commons layout (see src/lineage/tracker.hpp):
 
     <root>/search.json
     <root>/models/model_00042/record.json
-    <root>/models/model_00042/epoch_0007.ckpt.json
+    <root>/models/model_00042/epoch_0007.ckpt    (binary weights)
+    <root>/models/model_00042/epoch_0007.state   (binary training state)
+
+Only the JSON files (search.json, record.json) are read here.
 
 Usage:
     python3 scripts/load_commons.py <commons_dir> [--out metrics.csv]

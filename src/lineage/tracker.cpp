@@ -23,16 +23,44 @@ std::string model_dir_name(int model_id) {
   return buf;
 }
 
-std::string snapshot_file_name(std::size_t epoch) {
+namespace {
+
+constexpr std::string_view kSnapshotSuffix = ".ckpt";
+constexpr std::string_view kStateSuffix = ".state";
+
+std::string epoch_file_name(std::size_t epoch, std::string_view suffix) {
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "epoch_%04zu.ckpt.json", epoch);
-  return buf;
+  std::snprintf(buf, sizeof(buf), "epoch_%04zu", epoch);
+  return buf + std::string(suffix);
+}
+
+/// Whether `name` is a pre-binary artifact, whose weights were JSON
+/// decimals (epoch_NNNN.ckpt.json / epoch_NNNN.state.json).
+bool is_decimal_json_artifact(std::string_view name) {
+  return parse_indexed_name(name, "epoch_", ".ckpt.json") ||
+         parse_indexed_name(name, "epoch_", ".state.json");
+}
+
+std::vector<std::size_t> epochs_with_suffix(const fs::path& dir,
+                                            std::string_view suffix) {
+  std::vector<std::size_t> epochs;
+  for (const auto& file : util::list_files(dir)) {
+    const auto epoch =
+        parse_indexed_name(file.filename().string(), "epoch_", suffix);
+    if (epoch) epochs.push_back(*epoch);
+  }
+  std::sort(epochs.begin(), epochs.end());
+  return epochs;
+}
+
+}  // namespace
+
+std::string snapshot_file_name(std::size_t epoch) {
+  return epoch_file_name(epoch, kSnapshotSuffix);
 }
 
 std::string training_state_file_name(std::size_t epoch) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "epoch_%04zu.state.json", epoch);
-  return buf;
+  return epoch_file_name(epoch, kStateSuffix);
 }
 
 std::string manifest_file_name() { return "manifest.journal"; }
@@ -56,6 +84,18 @@ std::optional<std::size_t> parse_indexed_name(std::string_view name,
 
 std::string read_artifact(const fs::path& path) {
   return util::unframe_or_legacy(util::read_file(path)).payload;
+}
+
+util::Json read_json_artifact(const fs::path& path) {
+  return util::Json::decode(read_artifact(path));
+}
+
+std::vector<std::size_t> snapshot_epochs_in(const fs::path& dir) {
+  return epochs_with_suffix(dir, kSnapshotSuffix);
+}
+
+std::vector<std::size_t> training_state_epochs_in(const fs::path& dir) {
+  return epochs_with_suffix(dir, kStateSuffix);
 }
 
 namespace {
@@ -146,46 +186,55 @@ LineageTracker::LineageTracker(TrackerConfig config)
   const fs::path journal = config_.root / manifest_file_name();
   if (fs::exists(journal)) {
     std::string text;
+    bool readable = true;
     try {
       text = util::read_file(journal);
     } catch (const std::exception& e) {
+      readable = false;
       util::log_warn("tracker: unreadable manifest journal (", e.what(), ")");
     }
     std::vector<ManifestEntry> entries;
     const std::size_t torn = parse_manifest(text, entries);
     if (torn > 0)
       util::log_warn("tracker: dropped ", torn, " torn journal line(s)");
-    for (const auto& entry : entries) {
-      journal_text_ += manifest_line(entry);
-      journal_text_ += '\n';
+    if (torn > 0 || !readable) {
+      journal_repair_.emplace();
+      for (const auto& entry : entries) {
+        *journal_repair_ += manifest_line(entry);
+        *journal_repair_ += '\n';
+      }
     }
   }
 }
 
-void LineageTracker::commit_locked(const fs::path& path,
-                                   const std::string& payload,
-                                   util::Durability durability) {
+void LineageTracker::commit_locked(const fs::path& path, const util::Json& doc,
+                                   int indent, util::Durability durability) {
   util::trace::Scope span("journal.commit", "lineage");
   if (!config_.durable) durability = util::Durability::kBuffered;
-  const std::string framed = util::frame(payload);
+  const std::string framed = util::frame(doc.encode(indent));
   util::write_file(path, framed, durability);
 
   ManifestEntry entry;
   entry.rel = fs::relative(path, config_.root).generic_string();
   entry.size = framed.size();
   entry.crc = util::crc32(framed);
-  journal_text_ += manifest_line(entry);
-  journal_text_ += '\n';
+  const std::string line = manifest_line(entry) + '\n';
   const util::Durability journal_durability = config_.durable
                                                   ? util::Durability::kFsync
                                                   : util::Durability::kBuffered;
+  const fs::path journal = config_.root / manifest_file_name();
+  std::size_t journal_bytes = line.size();
   util::Timer fsync_timer;
-  util::write_file(config_.root / manifest_file_name(), journal_text_,
-                   journal_durability);
+  if (journal_repair_) {
+    journal_bytes += journal_repair_->size();
+    util::write_file(journal, *journal_repair_ + line, journal_durability);
+    journal_repair_.reset();
+  } else {
+    util::append_file(journal, line, journal_durability);
+  }
   const double journal_write_seconds = fsync_timer.seconds();
 
-  const double bytes =
-      static_cast<double>(framed.size() + journal_text_.size());
+  const double bytes = static_cast<double>(framed.size() + journal_bytes);
   if (metrics_) {
     metrics_->counter("journal.commits").add();
     metrics_->counter("journal.bytes_written").add(bytes);
@@ -193,14 +242,14 @@ void LineageTracker::commit_locked(const fs::path& path,
       metrics_->counter("journal.fsync_seconds").add(journal_write_seconds);
   }
   span.arg("artifact_bytes", static_cast<double>(framed.size()));
-  span.arg("journal_bytes", static_cast<double>(journal_text_.size()));
+  span.arg("journal_bytes", static_cast<double>(journal_bytes));
   span.arg("journal_write_seconds", journal_write_seconds);
 }
 
 void LineageTracker::record_search_config(const util::Json& config) {
   if (sealed_.load()) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  commit_locked(config_.root / "search.json", config.dump(2),
+  commit_locked(config_.root / "search.json", config, 2,
                 util::Durability::kBuffered);
 }
 
@@ -212,8 +261,7 @@ void LineageTracker::record_artifact(const std::string& rel_path,
     throw std::invalid_argument(
         "record_artifact: rel_path must be a plain root-level file name");
   std::lock_guard<std::mutex> lock(mutex_);
-  commit_locked(config_.root / rel_path, doc.dump(2),
-                util::Durability::kBuffered);
+  commit_locked(config_.root / rel_path, doc, 2, util::Durability::kBuffered);
 }
 
 bool LineageTracker::wants_snapshot(std::size_t epoch) const {
@@ -229,7 +277,7 @@ void LineageTracker::record_model_epoch(int model_id, std::size_t epoch,
   if (sealed_.load()) return;
   const util::Json ckpt = model.checkpoint();
   std::lock_guard<std::mutex> lock(mutex_);
-  commit_locked(model_dir(model_id) / snapshot_file_name(epoch), ckpt.dump(),
+  commit_locked(model_dir(model_id) / snapshot_file_name(epoch), ckpt, -1,
                 util::Durability::kFsync);
 }
 
@@ -237,15 +285,15 @@ void LineageTracker::record_training_state(int model_id, std::size_t epoch,
                                            const util::Json& state) {
   if (sealed_.load()) return;
   std::lock_guard<std::mutex> lock(mutex_);
-  commit_locked(model_dir(model_id) / training_state_file_name(epoch),
-                state.dump(), util::Durability::kFsync);
+  commit_locked(model_dir(model_id) / training_state_file_name(epoch), state,
+                -1, util::Durability::kFsync);
 }
 
 void LineageTracker::record_evaluation(const nas::EvaluationRecord& record) {
   if (sealed_.load()) return;
   const util::Json j = record.to_json();
   std::lock_guard<std::mutex> lock(mutex_);
-  commit_locked(model_dir(record.model_id) / "record.json", j.dump(2),
+  commit_locked(model_dir(record.model_id) / "record.json", j, 2,
                 util::Durability::kBuffered);
 }
 
@@ -256,7 +304,7 @@ DataCommons::DataCommons(fs::path root) : root_(std::move(root)) {
 }
 
 util::Json DataCommons::search_config() const {
-  return util::Json::parse(read_artifact(root_ / "search.json"));
+  return read_json_artifact(root_ / "search.json");
 }
 
 std::vector<int> DataCommons::model_ids() const {
@@ -281,54 +329,36 @@ std::vector<nas::EvaluationRecord> DataCommons::load_records() const {
   for (int id : model_ids()) {
     const fs::path path = root_ / "models" / model_dir_name(id) / "record.json";
     if (!fs::exists(path)) continue;
-    records.push_back(nas::EvaluationRecord::from_json(
-        util::Json::parse(read_artifact(path))));
+    records.push_back(
+        nas::EvaluationRecord::from_json(read_json_artifact(path)));
   }
   return records;
 }
 
-namespace {
-
-std::vector<std::size_t> epochs_with_suffix(const fs::path& dir,
-                                            const std::string& suffix) {
-  std::vector<std::size_t> epochs;
-  for (const auto& file : util::list_files(dir)) {
-    const auto epoch =
-        parse_indexed_name(file.filename().string(), "epoch_", suffix);
-    if (epoch) epochs.push_back(*epoch);
-  }
-  std::sort(epochs.begin(), epochs.end());
-  return epochs;
-}
-
-}  // namespace
-
 std::vector<std::size_t> DataCommons::snapshot_epochs(int model_id) const {
-  return epochs_with_suffix(root_ / "models" / model_dir_name(model_id),
-                            ".ckpt.json");
+  return snapshot_epochs_in(root_ / "models" / model_dir_name(model_id));
 }
 
 std::vector<std::size_t> DataCommons::training_state_epochs(
     int model_id) const {
-  return epochs_with_suffix(root_ / "models" / model_dir_name(model_id),
-                            ".state.json");
+  return training_state_epochs_in(root_ / "models" / model_dir_name(model_id));
 }
 
 nn::Model DataCommons::load_model(int model_id, std::size_t epoch) const {
   const fs::path path =
       root_ / "models" / model_dir_name(model_id) / snapshot_file_name(epoch);
-  return nn::Model::from_checkpoint(util::Json::parse(read_artifact(path)));
+  return nn::Model::from_checkpoint(read_json_artifact(path));
 }
 
 util::Json DataCommons::load_training_state(int model_id,
                                             std::size_t epoch) const {
   const fs::path path = root_ / "models" / model_dir_name(model_id) /
                         training_state_file_name(epoch);
-  return util::Json::parse(read_artifact(path));
+  return read_json_artifact(path);
 }
 
 util::Json DataCommons::load_artifact(const std::string& rel_path) const {
-  return util::Json::parse(read_artifact(root_ / rel_path));
+  return read_json_artifact(root_ / rel_path);
 }
 
 bool DataCommons::has_artifact(const std::string& rel_path) const {
@@ -375,7 +405,7 @@ FsckReport DataCommons::fsck(FsckMode mode) {
   const fs::path search = root_ / "search.json";
   if (fs::exists(search)) {
     try {
-      util::Json::parse(read_artifact(search));
+      read_json_artifact(search);
     } catch (const std::exception& e) {
       quarantine_file(root_, search, e.what(), report);
     }
@@ -388,24 +418,32 @@ FsckReport DataCommons::fsck(FsckMode mode) {
     const fs::path record = dir / "record.json";
     if (fs::exists(record)) {
       try {
-        nas::EvaluationRecord::from_json(
-            util::Json::parse(read_artifact(record)));
+        nas::EvaluationRecord::from_json(read_json_artifact(record));
         ++report.records_valid;
       } catch (const std::exception& e) {
         quarantine_file(root_, record, e.what(), report);
       }
     }
 
-    for (const auto& file : util::list_files(dir, ".json")) {
+    for (const auto& file : util::list_files(dir)) {
       const std::string name = file.filename().string();
-      if (name.rfind("epoch_", 0) != 0) continue;
+      const bool ckpt = parse_indexed_name(name, "epoch_", kSnapshotSuffix)
+                            .has_value();
+      const bool state =
+          parse_indexed_name(name, "epoch_", kStateSuffix).has_value();
+      const bool decimal = is_decimal_json_artifact(name);
+      if (!ckpt && !state && !decimal) continue;
       try {
-        const util::Json j = util::Json::parse(read_artifact(file));
-        if (name.ends_with(".ckpt.json")) {
+        if (decimal)
+          throw util::JsonError(
+              "pre-binary artifact: weights stored as JSON decimals, a "
+              "format this build has no reader for");
+        const util::Json j = read_json_artifact(file);
+        if (ckpt) {
           if (!j.contains("spec") || !j.contains("weights") ||
               !j.contains("input_shape"))
             throw util::JsonError("checkpoint missing spec/weights");
-        } else if (name.ends_with(".state.json")) {
+        } else {
           if (!j.contains("epoch") || !j.contains("rng") ||
               !j.contains("optimizer") || !j.contains("record"))
             throw util::JsonError("training state missing required fields");
@@ -433,11 +471,11 @@ FsckReport DataCommons::fsck(FsckMode mode) {
       disk[file.filename().string()] = file;
     for (int id : model_ids()) {
       const fs::path dir = root_ / "models" / model_dir_name(id);
-      for (const auto& file : util::list_files(dir, ".json")) {
+      for (const auto& file : util::list_files(dir)) {
         const std::string name = file.filename().string();
         if (name != "record.json" &&
-            !parse_indexed_name(name, "epoch_", ".ckpt.json") &&
-            !parse_indexed_name(name, "epoch_", ".state.json"))
+            !parse_indexed_name(name, "epoch_", kSnapshotSuffix) &&
+            !parse_indexed_name(name, "epoch_", kStateSuffix))
           continue;
         disk[fs::relative(file, root_).generic_string()] = file;
       }

@@ -11,11 +11,18 @@
 // silently replayed into the search. Legacy unframed trees still load and
 // are re-framed the first time they are rewritten.
 //
+// Weight-bearing artifacts (snapshots, training states) are binary:
+// util::Json::encode text plus a tensor section of raw little-endian
+// floats, about 4 bytes per weight. Their names carry no ".json"; a
+// pre-binary "*.ckpt.json" / "*.state.json" (weights as JSON decimals) has
+// no reader and fsck quarantines it.
+//
 // Layout:
 //   <root>/search.json                     search + engine + dataset config
 //   <root>/manifest.journal                {line-crc, artifact-crc, size, path}
 //   <root>/models/model_00042/record.json  EvaluationRecord
-//   <root>/models/model_00042/epoch_0007.ckpt.json  model snapshot (optional)
+//   <root>/models/model_00042/epoch_0007.ckpt   model snapshot (optional)
+//   <root>/models/model_00042/epoch_0007.state  training state (optional)
 #pragma once
 
 #include <atomic>
@@ -85,18 +92,19 @@ class LineageTracker {
 
  private:
   std::filesystem::path model_dir(int model_id) const;
-  /// Frame `payload`, commit it to `path`, and append a manifest-journal
-  /// entry under an atomic journal rename. Caller holds mutex_.
-  void commit_locked(const std::filesystem::path& path,
-                     const std::string& payload, util::Durability durability);
+  /// Encode and frame `doc`, commit it to `path`, and append its
+  /// manifest-journal line. Caller holds mutex_.
+  void commit_locked(const std::filesystem::path& path, const util::Json& doc,
+                     int indent, util::Durability durability);
 
   TrackerConfig config_;
   std::mutex mutex_;
   std::atomic<bool> sealed_{false};
   util::metrics::Registry* metrics_ = nullptr;
-  /// In-memory image of the manifest journal (valid lines only), appended
-  /// on every commit and rewritten to disk atomically.
-  std::string journal_text_;
+  /// The valid lines of an adopted journal that had torn ones: the next
+  /// commit rewrites the journal from them once (an append would extend a
+  /// torn fragment), then every commit appends.
+  std::optional<std::string> journal_repair_;
 };
 
 /// One problem found (and fixed) by DataCommons::fsck.
@@ -186,7 +194,8 @@ class DataCommons {
 
   /// Validate the whole commons tree: every record trail, snapshot, and
   /// training-state file must carry a valid frame (or be legacy unframed)
-  /// and parse; corrupt files are moved to `<root>/quarantine/` (preserving
+  /// and decode (pre-binary decimal-JSON snapshots and states never do);
+  /// corrupt files are moved to `<root>/quarantine/` (preserving
   /// their relative layout) and leftover `.tmp` staging files from crashed
   /// writers are deleted, so one truncated JSON can no longer kill a
   /// resume. FsckMode::kDeep additionally cross-checks every artifact
@@ -202,22 +211,31 @@ class DataCommons {
 
 /// Zero-padded directory/file naming shared by tracker and commons.
 std::string model_dir_name(int model_id);
-std::string snapshot_file_name(std::size_t epoch);
-std::string training_state_file_name(std::size_t epoch);
+std::string snapshot_file_name(std::size_t epoch);        // epoch_0007.ckpt
+std::string training_state_file_name(std::size_t epoch);  // epoch_0007.state
 /// Name of the manifest journal inside the commons root.
 std::string manifest_file_name();
 
 /// Strictly parse `<prefix><digits><suffix>` names (e.g. "model_00042",
-/// "epoch_0007.ckpt.json"). Returns nullopt — instead of atoi's silent 0 —
+/// "epoch_0007.ckpt"). Returns nullopt — instead of atoi's silent 0 —
 /// when the prefix/suffix do not match or the middle is not all digits, so
 /// a stray `model_backup/` directory can never alias model 0.
 std::optional<std::size_t> parse_indexed_name(std::string_view name,
                                               std::string_view prefix,
                                               std::string_view suffix);
 
+/// Epochs with a weight snapshot / training state in a model directory,
+/// ascending; names that do not parse strictly are ignored.
+std::vector<std::size_t> snapshot_epochs_in(const std::filesystem::path& dir);
+std::vector<std::size_t> training_state_epochs_in(
+    const std::filesystem::path& dir);
+
 /// Read an artifact file, verifying and stripping its integrity frame;
 /// legacy unframed content is returned verbatim. Throws util::FrameError
 /// on corruption and std::runtime_error when missing.
 std::string read_artifact(const std::filesystem::path& path);
+
+/// read_artifact, then util::Json::decode: the document as committed.
+util::Json read_json_artifact(const std::filesystem::path& path);
 
 }  // namespace a4nn::lineage

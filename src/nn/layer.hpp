@@ -77,7 +77,8 @@ class Layer {
 
 using LayerPtr = std::unique_ptr<Layer>;
 
-/// Serialization helpers shared by layer implementations.
+/// Serialization helpers shared by layer implementations: a tensor is one
+/// binary f32 leaf (shape + raw bytes), stored exactly by Json::encode.
 util::Json tensor_to_json(const Tensor& t);
 Tensor tensor_from_json(const util::Json& j);
 

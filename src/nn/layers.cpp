@@ -20,27 +20,12 @@ Activation activation_from_name(const std::string& name) {
 }
 
 util::Json tensor_to_json(const Tensor& t) {
-  util::Json j = util::Json::object();
-  util::JsonArray shape;
-  for (std::size_t d : t.shape()) shape.emplace_back(d);
-  j["shape"] = util::Json(std::move(shape));
-  util::JsonArray data;
-  data.reserve(t.numel());
-  for (std::size_t i = 0; i < t.numel(); ++i)
-    data.emplace_back(static_cast<double>(t[i]));
-  j["data"] = util::Json(std::move(data));
-  return j;
+  return util::Json(util::JsonBlob::f32(t.shape(), t.span()));
 }
 
 Tensor tensor_from_json(const util::Json& j) {
-  Shape shape;
-  for (const auto& d : j.at("shape").as_array())
-    shape.push_back(static_cast<std::size_t>(d.as_int()));
-  const auto& arr = j.at("data").as_array();
-  std::vector<float> data;
-  data.reserve(arr.size());
-  for (const auto& v : arr) data.push_back(static_cast<float>(v.as_number()));
-  return Tensor(std::move(shape), std::move(data));
+  const util::JsonBlob& blob = j.as_blob();
+  return Tensor(blob.shape, blob.f32_values());
 }
 
 namespace {

@@ -1,6 +1,6 @@
 // A trainable classifier: a Sequential trunk plus training/evaluation
-// driver methods, FLOPs/parameter accounting, and whole-model JSON
-// checkpoints (spec + weights) that the lineage tracker stores per epoch.
+// methods, FLOPs/parameter accounting, and whole-model checkpoints (JSON
+// spec + binary weights) that the lineage tracker stores per epoch.
 #pragma once
 
 #include <memory>
@@ -38,7 +38,8 @@ class Model {
   Sequential& trunk() { return *trunk_; }
   const Sequential& trunk() const { return *trunk_; }
 
-  /// Full checkpoint: {"input_shape", "spec", "weights"}.
+  /// Full checkpoint: {"input_shape", "spec", "weights"}, the weights as
+  /// binary tensor leaves (store it with Json::encode).
   util::Json checkpoint() const;
   /// Rebuild a model (architecture + weights) from a checkpoint.
   static Model from_checkpoint(const util::Json& ckpt);

@@ -30,13 +30,10 @@ void Sgd::step(std::vector<ParamSlot>& slots) {
 util::Json Sgd::state_json(const std::vector<ParamSlot>& slots) const {
   util::Json velocities = util::Json::array();
   for (const auto& slot : slots) {
-    util::JsonArray arr;
     const auto it = velocity_.find(slot.value);
-    if (it != velocity_.end()) {
-      arr.reserve(it->second.size());
-      for (float v : it->second) arr.emplace_back(static_cast<double>(v));
-    }
-    velocities.push_back(util::Json(std::move(arr)));
+    std::span<const float> v;
+    if (it != velocity_.end()) v = it->second;
+    velocities.push_back(util::JsonBlob::f32({v.size()}, v));
   }
   util::Json j = util::Json::object();
   j["kind"] = kind();
@@ -50,14 +47,11 @@ void Sgd::load_state(const std::vector<ParamSlot>& slots,
   if (velocities.size() != slots.size())
     throw std::invalid_argument("Sgd::load_state: slot count mismatch");
   for (std::size_t s = 0; s < slots.size(); ++s) {
-    const auto& arr = velocities[s].as_array();
-    if (arr.empty()) continue;  // slot never stepped before the checkpoint
-    if (arr.size() != slots[s].value->numel())
+    std::vector<float> vel = velocities[s].as_blob().f32_values();
+    if (vel.empty()) continue;  // slot never stepped before the checkpoint
+    if (vel.size() != slots[s].value->numel())
       throw std::invalid_argument("Sgd::load_state: velocity size mismatch");
-    auto& vel = velocity_[slots[s].value];
-    vel.resize(arr.size());
-    for (std::size_t i = 0; i < arr.size(); ++i)
-      vel[i] = static_cast<float>(arr[i].as_number());
+    velocity_[slots[s].value] = std::move(vel);
   }
 }
 

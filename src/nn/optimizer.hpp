@@ -26,7 +26,7 @@ class Sgd : public Optimizer {
   double learning_rate() const { return lr_; }
   void set_learning_rate(double lr) { lr_ = lr; }
 
-  /// Momentum buffers as JSON, one array per slot in slot order. Part of
+  /// Momentum buffers, one binary f32 leaf per slot in slot order. Part of
   /// the training-state checkpoint that makes mid-run resume bit-exact.
   util::Json state_json(const std::vector<ParamSlot>& slots) const;
   /// Restore buffers captured by state_json from the same architecture.

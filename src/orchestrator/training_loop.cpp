@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <ranges>
 #include <stdexcept>
 
 #include "tensor/scratch.hpp"
@@ -168,17 +169,8 @@ nas::EvaluationRecord TrainingLoop::train_genome_inherited(
                        lineage::model_dir_name(ancestor_model_id);
   // Newest snapshot first; unusable checkpoints fall back to older ones,
   // mirroring try_resume's discipline.
-  std::vector<std::size_t> epochs;
-  if (fs::exists(dir)) {
-    for (const auto& entry : fs::directory_iterator(dir)) {
-      const auto epoch = lineage::parse_indexed_name(
-          entry.path().filename().string(), "epoch_", ".ckpt.json");
-      if (epoch) epochs.push_back(*epoch);
-    }
-  }
-  std::sort(epochs.rbegin(), epochs.rend());
-
-  for (std::size_t e : epochs) {
+  const std::vector<std::size_t> epochs = lineage::snapshot_epochs_in(dir);
+  for (std::size_t e : std::views::reverse(epochs)) {
     try {
       // Re-decode the child fresh for every attempt: a fine-tune that
       // throws after transfer_weights leaves the model mutated, and an
@@ -187,8 +179,8 @@ nas::EvaluationRecord TrainingLoop::train_genome_inherited(
       // never of the failed attempt's leftovers.
       util::Rng init_rng(seed);
       nn::Model model = nas::decode_genome(genome, space, init_rng);
-      nn::Model parent = nn::Model::from_checkpoint(util::Json::parse(
-          lineage::read_artifact(dir / lineage::snapshot_file_name(e))));
+      nn::Model parent = nn::Model::from_checkpoint(
+          lineage::read_json_artifact(dir / lineage::snapshot_file_name(e)));
       const auto [copied, fresh] = transfer_weights(parent, model);
       if (copied == 0)
         break;  // no compatible tensors at all: cold start is honest
@@ -361,31 +353,24 @@ std::size_t TrainingLoop::try_resume(nn::Model& model, nn::Sgd& opt,
   namespace fs = std::filesystem;
   const fs::path dir =
       lineage_->root() / "models" / lineage::model_dir_name(record.model_id);
-  if (!fs::exists(dir)) return 1;
 
   // Newest state first; a corrupt or mismatched pair falls back to older.
-  // Strict name parsing: a stray "epoch_backup.state.json" is skipped, not
+  // Strict name parsing: a stray "epoch_backup.state" is skipped, not
   // misread as epoch 0.
-  std::vector<std::size_t> epochs;
-  for (const auto& entry : fs::directory_iterator(dir)) {
-    const auto epoch = lineage::parse_indexed_name(
-        entry.path().filename().string(), "epoch_", ".state.json");
-    if (epoch) epochs.push_back(*epoch);
-  }
-  std::sort(epochs.rbegin(), epochs.rend());
-
-  for (std::size_t e : epochs) {
+  const std::vector<std::size_t> epochs = lineage::training_state_epochs_in(dir);
+  for (std::size_t e : std::views::reverse(epochs)) {
     try {
-      // read_artifact verifies the integrity frame: a bit-flipped or torn
-      // state/checkpoint throws here and falls back to the next-older one.
-      const util::Json state = util::Json::parse(lineage::read_artifact(
-          dir / lineage::training_state_file_name(e)));
+      // read_artifact verifies the integrity frame and decode bounds the
+      // tensor section: a bit-flipped, torn or malformed state/checkpoint
+      // throws here and falls back to the next-older one.
+      const util::Json state = lineage::read_json_artifact(
+          dir / lineage::training_state_file_name(e));
       if (static_cast<int>(state.at("model_id").as_int()) != record.model_id ||
           static_cast<std::size_t>(state.at("epoch").as_int()) != e)
         throw util::JsonError("training state labels the wrong model/epoch");
 
-      const util::Json ckpt = util::Json::parse(lineage::read_artifact(
-          dir / lineage::snapshot_file_name(e)));
+      const util::Json ckpt =
+          lineage::read_json_artifact(dir / lineage::snapshot_file_name(e));
       // A stale checkpoint from a different architecture must never be
       // loaded into this model; the decoded genome's spec is the truth.
       if (!(ckpt.at("spec") == model.trunk().spec()))

@@ -1,6 +1,5 @@
 #include "quant/quantized_model.hpp"
 
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -13,7 +12,7 @@ namespace a4nn::quant {
 
 namespace {
 
-constexpr const char* kFormat = "a4nn-quant-v1";
+constexpr const char* kFormat = "a4nn-quant-v2";
 
 bool is_gemm_kind(const std::string& kind) {
   return kind == "conv2d" || kind == "linear";
@@ -21,46 +20,6 @@ bool is_gemm_kind(const std::string& kind) {
 
 bool spec_relu(const util::Json& spec) {
   return spec.string_or("activation", "none") == "relu";
-}
-
-/// int8 blobs dominate the snapshot, so they are hex strings (2 chars per
-/// value) instead of JSON number arrays — ~5x smaller and round-trips the
-/// bytes exactly.
-std::string hex_encode(const std::vector<std::int8_t>& bytes) {
-  static const char* digits = "0123456789abcdef";
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (std::int8_t b : bytes) {
-    const auto u = static_cast<std::uint8_t>(b);
-    out.push_back(digits[u >> 4]);
-    out.push_back(digits[u & 0xF]);
-  }
-  return out;
-}
-
-std::uint8_t hex_nibble(char c) {
-  if (c >= '0' && c <= '9') return static_cast<std::uint8_t>(c - '0');
-  if (c >= 'a' && c <= 'f') return static_cast<std::uint8_t>(c - 'a' + 10);
-  if (c >= 'A' && c <= 'F') return static_cast<std::uint8_t>(c - 'A' + 10);
-  throw std::invalid_argument("quant snapshot: invalid hex digit");
-}
-
-std::vector<std::int8_t> hex_decode(const std::string& hex) {
-  if (hex.size() % 2 != 0)
-    throw std::invalid_argument("quant snapshot: odd-length hex blob");
-  std::vector<std::int8_t> out(hex.size() / 2);
-  for (std::size_t i = 0; i < out.size(); ++i)
-    out[i] = static_cast<std::int8_t>(
-        (hex_nibble(hex[2 * i]) << 4) | hex_nibble(hex[2 * i + 1]));
-  return out;
-}
-
-std::vector<float> float_vector(const util::Json& j) {
-  const auto doubles = j.as_double_vector();
-  std::vector<float> out;
-  out.reserve(doubles.size());
-  for (double d : doubles) out.push_back(static_cast<float>(d));
-  return out;
 }
 
 tensor::ConvGeometry conv_geometry(const util::Json& spec,
@@ -254,9 +213,9 @@ util::Json QuantizedModel::to_json() const {
       st["rows"] = q.rows;
       st["cols"] = q.cols;
       st["act_scale"] = static_cast<double>(q.act_scale);
-      st["weight_scales"] = util::Json(q.weight_scales);
-      st["bias"] = util::Json(q.bias);
-      st["weight"] = hex_encode(q.weight);
+      st["weight_scales"] = util::JsonBlob::f32({q.rows}, q.weight_scales);
+      st["bias"] = util::JsonBlob::f32({q.rows}, q.bias);
+      st["weight"] = util::JsonBlob::i8({q.rows, q.cols}, q.weight);
     } else {
       st["type"] = "float";
       st["spec"] = s.float_spec;
@@ -284,9 +243,9 @@ QuantizedModel QuantizedModel::from_json(const util::Json& j) {
       q.rows = static_cast<std::size_t>(st.at("rows").as_int());
       q.cols = static_cast<std::size_t>(st.at("cols").as_int());
       q.act_scale = static_cast<float>(st.at("act_scale").as_number());
-      q.weight_scales = float_vector(st.at("weight_scales"));
-      q.bias = float_vector(st.at("bias"));
-      q.weight = hex_decode(st.at("weight").as_string());
+      q.weight_scales = st.at("weight_scales").as_blob().f32_values();
+      q.bias = st.at("bias").as_blob().f32_values();
+      q.weight = st.at("weight").as_blob().i8_values();
       if (q.weight.size() != q.rows * q.cols ||
           q.weight_scales.size() != q.rows || q.bias.size() != q.rows)
         throw std::invalid_argument("quant snapshot: stage size mismatch");
@@ -307,12 +266,12 @@ QuantizedModel QuantizedModel::from_json(const util::Json& j) {
 }
 
 void QuantizedModel::save(const std::filesystem::path& path) const {
-  util::write_file(path, util::frame(to_json().dump()));
+  util::write_file(path, util::frame(to_json().encode()));
 }
 
 QuantizedModel QuantizedModel::load(const std::filesystem::path& path) {
   const auto content = util::unframe_or_legacy(util::read_file(path));
-  return from_json(util::Json::parse(content.payload));
+  return from_json(util::Json::decode(content.payload));
 }
 
 double top1_accuracy(const tensor::Tensor& logits,

@@ -10,9 +10,10 @@
 // counts by construction (the float kernels need a summation-order
 // contract for that; the int8 path gets it for free).
 //
-// The snapshot format rides the same A4NNF1 integrity frames as every
-// other commons artifact, so a torn write or bit flip quarantines instead
-// of serving garbage.
+// The snapshot stores its int8 weights, scales and biases as binary tensor
+// leaves (util::Json::encode) inside the same A4NNF1 integrity frames as
+// every other commons artifact, so a torn write or bit flip quarantines
+// instead of serving garbage.
 #pragma once
 
 #include <cstdint>

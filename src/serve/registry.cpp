@@ -137,7 +137,7 @@ bool ModelRegistry::refresh() {
     nas::EvaluationRecord record;
     try {
       record = nas::EvaluationRecord::from_json(
-          util::Json::parse(lineage::read_artifact(record_path)));
+          lineage::read_json_artifact(record_path));
     } catch (const std::exception& e) {
       quarantine_artifact(config_.commons_root, record_path, e.what());
       ++newly_quarantined;

@@ -8,6 +8,10 @@
 //   A4NNF1 <payload length, decimal> <crc32 of payload, 8 hex digits>\n
 //   <payload bytes>
 //
+// The payload is opaque bytes. Commons artifacts carry util::Json::encode
+// output: JSON text, plus, for weight-bearing documents, a NUL and a binary
+// tensor section (util/json.hpp).
+//
 // Readers are versioned: content that does not start with the magic is a
 // legacy unframed artifact (pre-framing commons trees) and is accepted
 // verbatim; it gets re-framed automatically the first time it is rewritten,

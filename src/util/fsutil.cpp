@@ -59,15 +59,9 @@ bool write_all(int fd, const char* data, std::size_t size) {
   return true;
 }
 
-/// fsync/fdatasync an open path (O_RDONLY is enough on Linux, and is the
-/// only way to sync a directory). Sync failures are real data-loss risks,
-/// so they throw instead of being swallowed.
-void sync_path(const fs::path& path, bool directory) {
-  const int fd =
-      open_retry(path.c_str(), O_RDONLY | (directory ? O_DIRECTORY : 0));
-  if (fd < 0)
-    throw std::runtime_error("write_file: cannot open for sync: " +
-                             path.string());
+/// fsync/fdatasync an open descriptor and close it. Sync failures are
+/// real data-loss risks, so they throw instead of being swallowed.
+void sync_and_close(int fd, const fs::path& path, bool directory) {
   int rc;
   do {
     rc = directory ? ::fsync(fd) : ::fdatasync(fd);
@@ -75,8 +69,27 @@ void sync_path(const fs::path& path, bool directory) {
   const int saved_errno = errno;
   ::close(fd);
   if (rc != 0)
-    throw std::runtime_error("write_file: sync failed for " + path.string() +
+    throw std::runtime_error("fsutil: sync failed for " + path.string() +
                              ": " + std::strerror(saved_errno));
+}
+
+/// fsync/fdatasync a path (O_RDONLY is enough on Linux, and is the only way
+/// to sync a directory).
+void sync_path(const fs::path& path, bool directory) {
+  const int fd =
+      open_retry(path.c_str(), O_RDONLY | (directory ? O_DIRECTORY : 0));
+  if (fd < 0)
+    throw std::runtime_error("write_file: cannot open for sync: " +
+                             path.string());
+  sync_and_close(fd, path, directory);
+}
+
+/// Whether the crash point armed for write boundary `boundary` has come.
+/// >= (not ==) so that any write racing past the armed boundary dies too;
+/// the process is already "dead".
+bool crash_due(std::uint64_t boundary) {
+  const std::uint64_t crash_k = g_crash_after_writes.load();
+  return crash_k > 0 && boundary >= crash_k;
 }
 
 }  // namespace
@@ -116,10 +129,8 @@ void write_file(const fs::path& path, const std::string& content,
   if (durability == Durability::kFsync) sync_path(tmp, /*directory=*/false);
 
   // Crash-point fuzzing: die with the write staged but not committed — the
-  // state a real crash leaves behind. >= (not ==) so that any write racing
-  // past the armed boundary dies too; the process is already "dead".
-  const std::uint64_t crash_k = g_crash_after_writes.load();
-  if (crash_k > 0 && boundary >= crash_k) ::_exit(1);
+  // state a real crash leaves behind.
+  if (crash_due(boundary)) ::_exit(1);
 
   std::error_code ec;
   fs::rename(tmp, path, ec);
@@ -131,6 +142,33 @@ void write_file(const fs::path& path, const std::string& content,
   }
   if (durability == Durability::kFsync && path.has_parent_path())
     sync_path(path.parent_path(), /*directory=*/true);
+}
+
+void append_file(const fs::path& path, const std::string& content,
+                 Durability durability) {
+  if (path.has_parent_path()) ensure_dir(path.parent_path());
+  const std::uint64_t boundary = g_write_ops.fetch_add(1) + 1;
+  std::error_code exists_ec;
+  const bool created = !fs::exists(path, exists_ec);
+  const int fd = open_retry(path.c_str(), O_WRONLY | O_APPEND | O_CREAT, 0644);
+  if (fd < 0)
+    throw std::runtime_error("append_file: cannot open " + path.string());
+  // Crash-point fuzzing: a crash mid-append leaves a torn tail.
+  const bool crash = crash_due(boundary);
+  const bool ok = write_all(
+      fd, content.data(), crash ? content.size() / 2 : content.size());
+  if (crash) ::_exit(1);
+  if (!ok) {
+    ::close(fd);
+    throw std::runtime_error("append_file: write failed " + path.string());
+  }
+  if (durability == Durability::kFsync) {
+    sync_and_close(fd, path, /*directory=*/false);
+    if (created && path.has_parent_path())
+      sync_path(path.parent_path(), /*directory=*/true);
+  } else {
+    ::close(fd);
+  }
 }
 
 std::string read_file(const fs::path& path) {

@@ -29,6 +29,13 @@ void ensure_dir(const std::filesystem::path& dir);
 void write_file(const std::filesystem::path& path, const std::string& content,
                 Durability durability = Durability::kBuffered);
 
+/// Append `content` to `path` (created if absent) in one write. Crosses one
+/// crash-point write boundary, like write_file. kFsync fdatasyncs the file,
+/// and fsyncs the parent directory when the append created it. Used for
+/// manifest-journal lines: appending keeps a commit O(1) in journal size.
+void append_file(const std::filesystem::path& path, const std::string& content,
+                 Durability durability = Durability::kBuffered);
+
 /// Read an entire file; throws std::runtime_error if missing, or if a
 /// regular file yields fewer/more bytes than its stat size reports (short
 /// reads on special or concurrently-truncated files).
@@ -44,12 +51,13 @@ std::vector<std::filesystem::path> list_files(
 /// owns cleanup (tests remove it; benches leave artifacts for inspection).
 std::filesystem::path make_temp_dir(const std::string& prefix);
 
-/// Crash-point fuzzing. Every write_file call crosses one numbered write
-/// boundary (a process-global 1-based counter). When a crash point `k` is
-/// armed — via set_crash_after_writes(k) or the A4NN_CRASH_AFTER_WRITES
-/// environment variable — the k-th write stages its tmp file and then
-/// _exit(1)s before the commit rename: writes 1..k-1 survive intact, write
-/// k is torn (staged, never committed), and nothing later happens. This is
+/// Crash-point fuzzing. Every write_file and append_file call crosses one
+/// numbered write boundary (a process-global 1-based counter). When a crash
+/// point `k` is armed — via set_crash_after_writes(k) or the
+/// A4NN_CRASH_AFTER_WRITES environment variable — the k-th write is torn
+/// and the process _exit(1)s: a write_file stages its tmp file but never
+/// renames it; an append_file writes only the first half of its bytes.
+/// Writes 1..k-1 survive intact and nothing later happens. This is
 /// exactly the on-disk state an OS crash can leave, made deterministic so
 /// an acceptance test can sweep every k. 0 disables. The programmatic
 /// setter counts k from the boundaries already crossed at the call, so a

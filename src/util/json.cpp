@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <array>
+#include <bit>
 #include <cctype>
 #include <charconv>
 #include <cmath>
@@ -8,6 +9,67 @@
 #include <cstring>
 
 namespace a4nn::util {
+
+// Blob bytes are the host's element bytes, which the section format
+// defines as little-endian.
+static_assert(std::endian::native == std::endian::little,
+              "the tensor section stores host bytes as little-endian");
+
+namespace {
+
+std::size_t dtype_size(Dtype dtype) {
+  return dtype == Dtype::kF32 ? sizeof(float) : sizeof(std::int8_t);
+}
+
+std::size_t shape_numel(const std::vector<std::size_t>& shape) {
+  std::size_t n = 1;
+  for (std::size_t d : shape) n *= d;
+  return n;
+}
+
+template <typename T>
+JsonBlob pack(Dtype dtype, std::vector<std::size_t> shape,
+              std::span<const T> values) {
+  if (shape_numel(shape) != values.size())
+    throw JsonError("JsonBlob: shape holds " +
+                    std::to_string(shape_numel(shape)) + " elements, got " +
+                    std::to_string(values.size()));
+  JsonBlob b;
+  b.dtype = dtype;
+  b.shape = std::move(shape);
+  b.bytes.assign(reinterpret_cast<const char*>(values.data()),
+                 values.size_bytes());
+  return b;
+}
+
+template <typename T>
+std::vector<T> unpack(const JsonBlob& b, Dtype want) {
+  if (b.dtype != want) throw JsonError("JsonBlob: unexpected dtype");
+  std::vector<T> out(b.bytes.size() / sizeof(T));
+  if (!out.empty())  // memcpy from/to a null pointer is undefined
+    std::memcpy(out.data(), b.bytes.data(), out.size() * sizeof(T));
+  return out;
+}
+
+}  // namespace
+
+JsonBlob JsonBlob::f32(std::vector<std::size_t> shape,
+                       std::span<const float> values) {
+  return pack(Dtype::kF32, std::move(shape), values);
+}
+
+JsonBlob JsonBlob::i8(std::vector<std::size_t> shape,
+                      std::span<const std::int8_t> values) {
+  return pack(Dtype::kI8, std::move(shape), values);
+}
+
+std::vector<float> JsonBlob::f32_values() const {
+  return unpack<float>(*this, Dtype::kF32);
+}
+
+std::vector<std::int8_t> JsonBlob::i8_values() const {
+  return unpack<std::int8_t>(*this, Dtype::kI8);
+}
 
 bool Json::as_bool() const {
   if (const bool* b = std::get_if<bool>(&value_)) return *b;
@@ -46,6 +108,11 @@ const JsonObject& Json::as_object() const {
 JsonObject& Json::as_object() {
   if (JsonObject* o = std::get_if<JsonObject>(&value_)) return *o;
   throw JsonError("Json: not an object");
+}
+
+const JsonBlob& Json::as_blob() const {
+  if (const JsonBlob* b = std::get_if<JsonBlob>(&value_)) return *b;
+  throw JsonError("Json: not a binary tensor");
 }
 
 Json& Json::operator[](const std::string& key) {
@@ -154,7 +221,8 @@ void format_number(std::string& out, double d) {
 
 }  // namespace
 
-void Json::dump_impl(std::string& out, int indent, int depth) const {
+void Json::dump_impl(std::string& out, int indent, int depth,
+                     std::vector<const JsonBlob*>* blobs) const {
   const bool pretty = indent >= 0;
   const std::string pad = pretty ? std::string(static_cast<std::size_t>(indent) * (depth + 1), ' ') : "";
   const std::string close_pad = pretty ? std::string(static_cast<std::size_t>(indent) * depth, ' ') : "";
@@ -169,6 +237,12 @@ void Json::dump_impl(std::string& out, int indent, int depth) const {
     format_number(out, as_number());
   } else if (is_string()) {
     escape_string(out, as_string());
+  } else if (is_blob()) {
+    if (!blobs)
+      throw JsonError("Json: dump() of a binary tensor; use encode()");
+    out += '#';
+    out += std::to_string(blobs->size());
+    blobs->push_back(&as_blob());
   } else if (is_array()) {
     const auto& arr = as_array();
     if (arr.empty()) {
@@ -179,7 +253,7 @@ void Json::dump_impl(std::string& out, int indent, int depth) const {
     out += nl;
     for (std::size_t i = 0; i < arr.size(); ++i) {
       out += pad;
-      arr[i].dump_impl(out, indent, depth + 1);
+      arr[i].dump_impl(out, indent, depth + 1, blobs);
       if (i + 1 < arr.size()) out += ',';
       out += nl;
     }
@@ -198,7 +272,7 @@ void Json::dump_impl(std::string& out, int indent, int depth) const {
       out += pad;
       escape_string(out, k);
       out += colon;
-      v.dump_impl(out, indent, depth + 1);
+      v.dump_impl(out, indent, depth + 1, blobs);
       if (++i < obj.size()) out += ',';
       out += nl;
     }
@@ -209,25 +283,119 @@ void Json::dump_impl(std::string& out, int indent, int depth) const {
 
 std::string Json::dump(int indent) const {
   std::string out;
-  dump_impl(out, indent, 0);
+  dump_impl(out, indent, 0, nullptr);
   return out;
 }
 
 namespace {
 
+template <typename T>
+void put_le(std::string& out, T v) {
+  for (std::size_t i = 0; i < sizeof(T); ++i)
+    out += static_cast<char>((v >> (8 * i)) & 0xFF);
+}
+
+/// Smallest encoded tensor: dtype, rank 0, byte length.
+constexpr std::size_t kMinTensorBytes = 1 + 1 + 8;
+/// Deepest shape a tensor may claim.
+constexpr std::size_t kMaxRank = 8;
+
+/// Bounds-checked little-endian reader over a tensor section.
+class SectionReader {
+ public:
+  explicit SectionReader(std::string_view in) : in_(in) {}
+
+  std::size_t remaining() const { return in_.size() - pos_; }
+
+  template <typename T>
+  T take() {
+    if (remaining() < sizeof(T))
+      fail("truncated at byte " + std::to_string(pos_));
+    T v = 0;
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      v |= static_cast<T>(static_cast<unsigned char>(in_[pos_ + i]))
+           << (8 * i);
+    pos_ += sizeof(T);
+    return v;
+  }
+
+  std::string_view take_bytes(std::size_t n) {
+    const std::string_view out = in_.substr(pos_, n);
+    pos_ += n;
+    return out;
+  }
+
+  [[noreturn]] static void fail(const std::string& msg) {
+    throw JsonError("tensor section: " + msg);
+  }
+
+ private:
+  std::string_view in_;
+  std::size_t pos_ = 0;
+};
+
+std::vector<JsonBlob> decode_section(std::string_view section) {
+  SectionReader r(section);
+  const std::uint32_t count = r.take<std::uint32_t>();
+  if (count > r.remaining() / kMinTensorBytes)
+    r.fail("claims " + std::to_string(count) + " tensors in " +
+           std::to_string(r.remaining()) + " bytes");
+  std::vector<JsonBlob> blobs(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    JsonBlob& b = blobs[i];
+    const std::uint8_t dtype = r.take<std::uint8_t>();
+    if (dtype > static_cast<std::uint8_t>(Dtype::kI8))
+      r.fail("tensor " + std::to_string(i) + " has unknown dtype " +
+             std::to_string(dtype));
+    b.dtype = static_cast<Dtype>(dtype);
+    const std::uint8_t rank = r.take<std::uint8_t>();
+    if (rank > kMaxRank)
+      r.fail("tensor " + std::to_string(i) + " has rank " +
+             std::to_string(rank));
+    std::uint64_t numel = 1;
+    bool overflow = false;
+    for (std::size_t d = 0; d < rank; ++d) {
+      const std::uint64_t dim = r.take<std::uint64_t>();
+      overflow |= __builtin_mul_overflow(numel, dim, &numel);
+      b.shape.push_back(static_cast<std::size_t>(dim));
+    }
+    const std::uint64_t length = r.take<std::uint64_t>();
+    if (length > r.remaining())
+      r.fail("tensor " + std::to_string(i) + " claims " +
+             std::to_string(length) + " bytes, " +
+             std::to_string(r.remaining()) + " remain");
+    std::uint64_t expected = 0;
+    overflow |= __builtin_mul_overflow(numel, dtype_size(b.dtype), &expected);
+    if (overflow || expected != length)
+      r.fail("tensor " + std::to_string(i) + " shape does not match its " +
+             std::to_string(length) + " bytes");
+    b.bytes = r.take_bytes(static_cast<std::size_t>(length));
+  }
+  if (r.remaining() != 0)
+    r.fail(std::to_string(r.remaining()) + " trailing byte(s)");
+  return blobs;
+}
+
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  Parser(std::string_view text, std::vector<JsonBlob> blobs)
+      : text_(text), blobs_(std::move(blobs)), used_(blobs_.size(), false) {}
 
   Json parse_document() {
     Json v = parse_value();
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters after document");
+    for (std::size_t i = 0; i < used_.size(); ++i)
+      if (!used_[i])
+        SectionReader::fail("tensor " + std::to_string(i) +
+                            " is never referenced");
     return v;
   }
 
  private:
-  const std::string& text_;
+  std::string_view text_;
+  std::vector<JsonBlob> blobs_;
+  std::vector<bool> used_;
   std::size_t pos_ = 0;
   int depth_ = 0;
 
@@ -264,7 +432,7 @@ class Parser {
 
   bool consume_literal(const char* lit) {
     std::size_t n = std::strlen(lit);
-    if (text_.compare(pos_, n, lit) == 0) {
+    if (text_.substr(pos_, n) == std::string_view(lit, n)) {
       pos_ += n;
       return true;
     }
@@ -278,6 +446,7 @@ class Parser {
       case '{': return nested(&Parser::parse_object);
       case '[': return nested(&Parser::parse_array);
       case '"': return Json(parse_string());
+      case '#': return parse_placeholder();
       case 't':
         if (consume_literal("true")) return Json(true);
         fail("invalid literal");
@@ -289,6 +458,24 @@ class Parser {
         fail("invalid literal");
       default: return parse_number();
     }
+  }
+
+  /// `#<index>`: the index-th tensor of the section, each used once.
+  Json parse_placeholder() {
+    ++pos_;
+    std::size_t index = 0;
+    const auto [ptr, ec] =
+        std::from_chars(text_.data() + pos_, text_.data() + text_.size(), index);
+    if (ec != std::errc{}) fail("invalid tensor placeholder");
+    pos_ = static_cast<std::size_t>(ptr - text_.data());
+    if (index >= blobs_.size())
+      fail("tensor placeholder #" + std::to_string(index) +
+           " out of range (section holds " + std::to_string(blobs_.size()) +
+           ")");
+    if (used_[index])
+      fail("tensor placeholder #" + std::to_string(index) + " used twice");
+    used_[index] = true;
+    return Json(std::move(blobs_[index]));
   }
 
   Json nested(Json (Parser::*parse_container)()) {
@@ -416,7 +603,34 @@ class Parser {
 }  // namespace
 
 Json Json::parse(const std::string& text) {
-  return Parser(text).parse_document();
+  return Parser(text, {}).parse_document();
+}
+
+std::string Json::encode(int indent) const {
+  std::vector<const JsonBlob*> blobs;
+  std::string out;
+  dump_impl(out, indent, 0, &blobs);
+  if (blobs.empty()) return out;
+  out += '\0';
+  put_le<std::uint32_t>(out, static_cast<std::uint32_t>(blobs.size()));
+  for (const JsonBlob* b : blobs) {
+    if (b->shape.size() > kMaxRank ||
+        b->bytes.size() != shape_numel(b->shape) * dtype_size(b->dtype))
+      throw JsonError("Json: malformed binary tensor");
+    put_le<std::uint8_t>(out, static_cast<std::uint8_t>(b->dtype));
+    put_le<std::uint8_t>(out, static_cast<std::uint8_t>(b->shape.size()));
+    for (std::size_t d : b->shape) put_le<std::uint64_t>(out, d);
+    put_le<std::uint64_t>(out, b->bytes.size());
+    out += b->bytes;
+  }
+  return out;
+}
+
+Json Json::decode(std::string_view bytes) {
+  const std::size_t nul = bytes.find('\0');
+  if (nul == std::string_view::npos) return Parser(bytes, {}).parse_document();
+  return Parser(bytes.substr(0, nul), decode_section(bytes.substr(nul + 1)))
+      .parse_document();
 }
 
 std::string u64_to_hex(std::uint64_t v) {

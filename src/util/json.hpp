@@ -1,18 +1,34 @@
-// Minimal JSON value model, parser, and pretty-printer.
+// Minimal JSON value model, parser, and pretty-printer, plus one binary
+// tensor section for the documents that carry weights.
 //
 // The lineage tracker serializes record trails (architectures, fitness and
 // prediction histories, engine parameters, timings) as JSON documents in the
 // data commons, and the analyzer reads them back. This is a small,
 // dependency-free implementation that supports the full JSON grammar with
 // IEEE-754 round-trippable number formatting.
+//
+// Tensors (checkpoint weights, optimizer state, int8 snapshots) are JsonBlob
+// leaves. encode() writes a document holding blobs as its compact text with
+// each blob replaced by a `#<index>` placeholder, then a NUL, then the
+// tensor section (all integers little-endian):
+//
+//   u32 tensor count
+//   per tensor: u8 dtype (0 = f32, 1 = i8), u8 rank, rank x u64 dims,
+//               u64 byte length, raw little-endian element bytes
+//
+// A document without blobs encodes to exactly its dump() text. decode() is
+// bounded: every length is checked against the bytes that remain before
+// anything is allocated, and any malformed section throws JsonError.
 #pragma once
 
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -30,7 +46,31 @@ class JsonError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// A JSON value: null, bool, number (double), string, array, or object.
+/// Element type of a binary tensor leaf.
+enum class Dtype : std::uint8_t { kF32 = 0, kI8 = 1 };
+
+/// A binary tensor leaf: shape, element type, and the elements' raw
+/// little-endian bytes, so every bit (-0.0, denormals, inf, NaN payloads)
+/// survives a round trip.
+struct JsonBlob {
+  Dtype dtype = Dtype::kF32;
+  std::vector<std::size_t> shape;
+  std::string bytes;
+
+  /// Pack `values` (numel(shape) of them; JsonError otherwise).
+  static JsonBlob f32(std::vector<std::size_t> shape,
+                      std::span<const float> values);
+  static JsonBlob i8(std::vector<std::size_t> shape,
+                     std::span<const std::int8_t> values);
+  /// Unpack the elements; JsonError if the dtype differs.
+  std::vector<float> f32_values() const;
+  std::vector<std::int8_t> i8_values() const;
+
+  friend bool operator==(const JsonBlob&, const JsonBlob&) = default;
+};
+
+/// A JSON value: null, bool, number (double), string, array, object, or a
+/// binary tensor leaf (encode()/decode() only).
 class Json {
  public:
   Json() : value_(nullptr) {}
@@ -44,6 +84,7 @@ class Json {
   Json(std::string s) : value_(std::move(s)) {}
   Json(JsonArray a) : value_(std::move(a)) {}
   Json(JsonObject o) : value_(std::move(o)) {}
+  Json(JsonBlob b) : value_(std::move(b)) {}
 
   template <typename T>
   Json(const std::vector<T>& v) {
@@ -62,6 +103,7 @@ class Json {
   bool is_string() const { return std::holds_alternative<std::string>(value_); }
   bool is_array() const { return std::holds_alternative<JsonArray>(value_); }
   bool is_object() const { return std::holds_alternative<JsonObject>(value_); }
+  bool is_blob() const { return std::holds_alternative<JsonBlob>(value_); }
 
   bool as_bool() const;
   double as_number() const;
@@ -71,6 +113,7 @@ class Json {
   JsonArray& as_array();
   const JsonObject& as_object() const;
   JsonObject& as_object();
+  const JsonBlob& as_blob() const;
 
   /// Object access; creates the key on the mutable overload.
   Json& operator[](const std::string& key);
@@ -89,9 +132,14 @@ class Json {
 
   void push_back(Json v);
 
-  /// Serialize. indent < 0 emits compact one-line JSON; indent >= 0 pretty
-  /// prints with that many spaces per level.
+  /// Serialize as text. indent < 0 emits compact one-line JSON; indent >= 0
+  /// pretty prints with that many spaces per level. Throws JsonError on a
+  /// document holding a blob: text has no lossless form for one.
   std::string dump(int indent = -1) const;
+
+  /// Serialize for storage: dump(indent) when the document holds no blob,
+  /// else its text with blob placeholders, a NUL, and the tensor section.
+  std::string encode(int indent = -1) const;
 
   /// Deepest array/object nesting parse() accepts; one level more throws
   /// JsonError instead of recursing until the stack overflows.
@@ -99,6 +147,11 @@ class Json {
 
   /// Parse a complete document; trailing garbage is an error.
   static Json parse(const std::string& text);
+
+  /// Inverse of encode(): text alone, or text + NUL + tensor section. Every
+  /// placeholder must name a distinct tensor of the section and every
+  /// tensor must be named; anything else throws JsonError.
+  static Json decode(std::string_view bytes);
 
   /// Extract a vector of doubles from an array of numbers.
   std::vector<double> as_double_vector() const;
@@ -108,10 +161,14 @@ class Json {
   }
 
  private:
-  std::variant<std::nullptr_t, bool, double, std::string, JsonArray, JsonObject>
+  std::variant<std::nullptr_t, bool, double, std::string, JsonArray,
+               JsonObject, JsonBlob>
       value_;
 
-  void dump_impl(std::string& out, int indent, int depth) const;
+  /// `blobs` collects the blob leaves in placeholder order; null refuses
+  /// them (text dump).
+  void dump_impl(std::string& out, int indent, int depth,
+                 std::vector<const JsonBlob*>* blobs) const;
 };
 
 /// u64 <-> lowercase hex text, for values that must cross JSON exactly

@@ -154,6 +154,29 @@ TEST(FsDurability, CrashAfterWritesTearsTheArmedWrite) {
   fs::remove_all(dir);
 }
 
+TEST(FsDurability, CrashDuringAppendLeavesATornTail) {
+  const fs::path dir = util::make_temp_dir("a4nn-crashappend");
+  util::append_file(dir / "j.journal", "line one\n");
+  std::fflush(stdout);
+  std::fflush(stderr);
+  const pid_t pid = fork();
+  ASSERT_NE(pid, -1);
+  if (pid == 0) {
+    util::set_crash_after_writes(2);
+    util::append_file(dir / "j.journal", "line two\n");
+    util::append_file(dir / "j.journal", "0123456789\n");
+    ::_exit(0);  // must never be reached
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 1);
+  // Append 1 landed whole; append 2 is the armed boundary and died after
+  // writing half of its bytes.
+  EXPECT_EQ(util::read_file(dir / "j.journal"), "line one\nline two\n01234");
+  fs::remove_all(dir);
+}
+
 // -------------------------------------------------- framed commons + fsck
 
 orchestrator::TrainerConfig tiny_trainer() {
@@ -224,7 +247,7 @@ TEST_F(FramedCommonsFixture, LegacyUnframedArtifactsStillLoad) {
   std::size_t artifact_count = 0;
   for (int id = 0; id < 2; ++id) {
     const fs::path dir = root / "models" / lineage::model_dir_name(id);
-    for (const auto& file : util::list_files(dir, ".json")) {
+    for (const auto& file : util::list_files(dir)) {
       const std::string payload = lineage::read_artifact(file);
       std::ofstream(file, std::ios::binary | std::ios::trunc) << payload;
       ++artifact_count;
@@ -360,6 +383,58 @@ TEST_F(FramedCommonsFixture, ResumeFallsBackToNewestIntactState) {
       loop.train_genome(genome, space, 0, 40);
   EXPECT_EQ(record.resumed_from_epoch, 2u);
   EXPECT_EQ(loop.resumed_epochs(), 2u);
+  EXPECT_EQ(record.epochs_trained, 3u);
+}
+
+/// Rewrite `path` with `damage` applied to its payload and a fresh, valid
+/// frame: only the payload's own structure can tell that it is broken.
+void reframe_damaged(const fs::path& path, void (*damage)(std::string&)) {
+  std::string payload = lineage::read_artifact(path);
+  damage(payload);
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << util::frame(payload);
+}
+
+void append_trailing_byte(std::string& payload) { payload += '\x01'; }
+
+void break_first_dtype(std::string& payload) {
+  // NUL, u32 tensor count, then the first tensor's dtype byte.
+  payload.at(payload.find('\0') + 1 + 4) = '\x09';
+}
+
+TEST_F(FramedCommonsFixture, DamagedTensorSectionWithValidCrcIsQuarantined) {
+  const fs::path ckpt = root / "models" / lineage::model_dir_name(0) /
+                        lineage::snapshot_file_name(3);
+  reframe_damaged(ckpt, append_trailing_byte);
+
+  lineage::DataCommons commons(root);
+  const lineage::FsckReport report = commons.fsck(lineage::FsckMode::kDeep);
+  EXPECT_EQ(report.files_quarantined, 1u);
+  ASSERT_EQ(report.issues.size(), 1u);
+  EXPECT_NE(report.issues[0].reason.find("tensor section"), std::string::npos)
+      << report.issues[0].reason;
+  EXPECT_FALSE(fs::exists(ckpt));
+  EXPECT_EQ(commons.snapshot_epochs(0), (std::vector<std::size_t>{1, 2}));
+  EXPECT_TRUE(commons.fsck(lineage::FsckMode::kDeep).clean());
+}
+
+TEST_F(FramedCommonsFixture, ResumeFallsBackPastDamagedTensorSection) {
+  // The newest checkpoint's frame is valid but its section names an
+  // unknown dtype: resume must take epoch 2, not load or give up.
+  const fs::path dir = root / "models" / lineage::model_dir_name(0);
+  reframe_damaged(dir / lineage::snapshot_file_name(3), break_first_dtype);
+  fs::remove(dir / "record.json");
+
+  util::Rng rng(9);
+  const nas::Genome genome = nas::random_genome(3, 4, rng);
+  orchestrator::TrainerConfig tcfg = tiny_trainer();
+  tcfg.resume_partial = true;
+  lineage::LineageTracker tracker({root, 1});
+  orchestrator::TrainingLoop loop(data->train, data->validation, tcfg,
+                                  &tracker);
+  const nas::EvaluationRecord record =
+      loop.train_genome(genome, space, 0, 40);
+  EXPECT_EQ(record.resumed_from_epoch, 2u);
   EXPECT_EQ(record.epochs_trained, 3u);
 }
 

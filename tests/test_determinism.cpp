@@ -61,7 +61,7 @@ std::string train_and_dump(std::size_t kernel_threads, bool fuse) {
   util::Rng rng(5);
   for (int epoch = 0; epoch < 3; ++epoch)
     model.train_epoch(data, 8, opt, rng);
-  return model.trunk().weights().dump();
+  return model.trunk().weights().encode();
 }
 
 TEST(Determinism, TrainingBitIdenticalAtPoolSizes128) {
@@ -106,8 +106,8 @@ TEST(Determinism, FusedEpiloguesMatchUnfusedTraining) {
   const std::string fused = train_and_dump(1, /*fuse=*/true);
   // The dumps differ in layer count (ReLU removed), so compare the layers
   // that carry weights: conv is layer 0 in both; linear is layer 4 vs 3.
-  const util::Json ju = util::Json::parse(unfused);
-  const util::Json jf = util::Json::parse(fused);
+  const util::Json ju = util::Json::decode(unfused);
+  const util::Json jf = util::Json::decode(fused);
   const auto& lu = ju.at("layers").as_array();
   const auto& lf = jf.at("layers").as_array();
   ASSERT_EQ(lu.size(), 5u);

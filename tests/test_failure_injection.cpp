@@ -46,7 +46,8 @@ TEST_F(CommonsFixture, RecordMissingFieldsThrows) {
 }
 
 TEST_F(CommonsFixture, TruncatedCheckpointThrows) {
-  util::write_file(root / "models" / "model_00000" / "epoch_0001.ckpt.json",
+  util::write_file(root / "models" / "model_00000" /
+                       lineage::snapshot_file_name(1),
                    R"({"input_shape": [1, 8, 8], "spec")");
   lineage::DataCommons commons(root);
   EXPECT_THROW(commons.load_model(0, 1), util::JsonError);
@@ -61,8 +62,9 @@ TEST_F(CommonsFixture, CheckpointWithWrongWeightsThrows) {
       nas::decode_genome(nas::random_genome(3, 4, rng), space, rng);
   util::Json ckpt = model.checkpoint();
   ckpt["weights"] = util::Json::object();  // drop every layer's weights
-  util::write_file(root / "models" / "model_00000" / "epoch_0002.ckpt.json",
-                   ckpt.dump());
+  util::write_file(root / "models" / "model_00000" /
+                       lineage::snapshot_file_name(2),
+                   ckpt.encode());
   lineage::DataCommons commons(root);
   EXPECT_THROW(commons.load_model(0, 2), util::JsonError);
 }

@@ -2,10 +2,14 @@
 // snapshots reproduce predictions from any epoch.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <filesystem>
+#include <limits>
 
 #include "lineage/tracker.hpp"
 #include "orchestrator/training_loop.hpp"
+#include "util/frame.hpp"
 #include "util/fsutil.hpp"
 #include "xfel/dataset.hpp"
 
@@ -22,7 +26,8 @@ struct CommonsFixture : ::testing::Test {
 
 TEST_F(CommonsFixture, NamingHelpers) {
   EXPECT_EQ(model_dir_name(7), "model_00007");
-  EXPECT_EQ(snapshot_file_name(12), "epoch_0012.ckpt.json");
+  EXPECT_EQ(snapshot_file_name(12), "epoch_0012.ckpt");
+  EXPECT_EQ(training_state_file_name(12), "epoch_0012.state");
 }
 
 TEST_F(CommonsFixture, TrackerValidatesConfig) {
@@ -116,6 +121,171 @@ TEST_F(CommonsFixture, MissingSnapshotThrows) {
   DataCommons commons(root);
   EXPECT_THROW(commons.load_model(0, 1), std::runtime_error);
   EXPECT_TRUE(commons.snapshot_epochs(42).empty());
+}
+
+/// Values a decimal text round trip loses or cannot print at all: -0.0,
+/// the smallest denormals, +-inf, and a quiet NaN carrying a payload.
+std::vector<float> special_values(std::size_t n) {
+  std::uint32_t nan_bits = 0x7fc0beefu;
+  float nan_payload;
+  std::memcpy(&nan_payload, &nan_bits, sizeof nan_payload);
+  const float specials[] = {-0.0f,
+                            std::numeric_limits<float>::denorm_min(),
+                            -7.0f * std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            nan_payload,
+                            0.1f};
+  std::vector<float> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = specials[i % std::size(specials)];
+  return out;
+}
+
+bool bit_equal(std::span<const float> a, std::span<const float> b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size_bytes()) == 0;
+}
+
+nn::Model special_model() {
+  util::Rng rng(4);
+  nas::SearchSpaceConfig space;
+  space.input_shape = {1, 8, 8};
+  space.stem_channels = 4;
+  nn::Model model =
+      nas::decode_genome(nas::random_genome(3, 4, rng), space, rng);
+  for (auto& p : model.trunk().params()) {
+    const std::vector<float> v = special_values(p.value->numel());
+    std::copy(v.begin(), v.end(), p.value->span().begin());
+  }
+  return model;
+}
+
+TEST_F(CommonsFixture, CheckpointRoundTripIsBitExact) {
+  nn::Model model = special_model();
+  LineageTracker tracker({root, 1});
+  tracker.record_model_epoch(0, 1, model);
+
+  DataCommons commons(root);
+  nn::Model back = commons.load_model(0, 1);
+  const auto want = model.trunk().params();
+  const auto got = back.trunk().params();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].value->shape(), want[i].value->shape());
+    EXPECT_TRUE(bit_equal(got[i].value->span(), want[i].value->span()))
+        << "slot " << i;
+  }
+  // Non-parameter state (BatchNorm running statistics) too.
+  EXPECT_EQ(back.checkpoint().encode(), model.checkpoint().encode());
+}
+
+TEST_F(CommonsFixture, OptimizerStateRoundTripIsBitExact) {
+  nn::Model model = special_model();
+  const auto slots = model.trunk().params();
+  util::Json crafted = util::Json::object();
+  util::Json velocities = util::Json::array();
+  for (const auto& slot : slots)
+    velocities.push_back(util::JsonBlob::f32(
+        {slot.value->numel()}, special_values(slot.value->numel())));
+  crafted["velocity"] = std::move(velocities);
+  nn::Sgd opt(0.1);
+  opt.load_state(slots, crafted);
+
+  util::Json state = util::Json::object();
+  state["optimizer"] = opt.state_json(slots);
+  LineageTracker tracker({root, 1});
+  tracker.record_training_state(0, 1, state);
+
+  DataCommons commons(root);
+  nn::Sgd restored(0.1);
+  restored.load_state(slots, commons.load_training_state(0, 1).at("optimizer"));
+  const util::Json back = restored.state_json(slots);
+  const auto& want = crafted.at("velocity").as_array();
+  const auto& got = back.at("velocity").as_array();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i)
+    EXPECT_TRUE(bit_equal(got[i].as_blob().f32_values(),
+                          want[i].as_blob().f32_values()))
+        << "slot " << i;
+}
+
+TEST_F(CommonsFixture, JournalCommitAppendsOneLine) {
+  LineageTracker tracker({root, 0});
+  util::Json doc = util::Json::object();
+  doc["n"] = 1;
+  tracker.record_artifact("a.json", doc);
+  tracker.record_artifact("b.json", doc);
+  const fs::path journal = root / manifest_file_name();
+  const std::string before = util::read_file(journal);
+
+  const std::uint64_t writes = util::write_op_count();
+  tracker.record_artifact("c.json", doc);
+  EXPECT_EQ(util::write_op_count() - writes, 2u);  // artifact + one append
+  const std::string after = util::read_file(journal);
+  ASSERT_GT(after.size(), before.size());
+  EXPECT_EQ(after.substr(0, before.size()), before);
+  const std::string added = after.substr(before.size());
+  EXPECT_EQ(std::count(added.begin(), added.end(), '\n'), 1);
+  EXPECT_NE(added.find("c.json"), std::string::npos);
+}
+
+TEST_F(CommonsFixture, FirstCommitAfterTornJournalRewritesItOnce) {
+  util::Json doc = util::Json::object();
+  doc["n"] = 1;
+  {
+    LineageTracker tracker({root, 0});
+    tracker.record_artifact("a.json", doc);
+    tracker.record_artifact("b.json", doc);
+  }
+  const fs::path journal = root / manifest_file_name();
+  fs::resize_file(journal, fs::file_size(journal) - 5);  // tear b's line
+
+  LineageTracker tracker({root, 0});
+  tracker.record_artifact("c.json", doc);
+  const std::string repaired = util::read_file(journal);
+  // The torn fragment is gone rather than extended: a's line, then c's.
+  EXPECT_EQ(std::count(repaired.begin(), repaired.end(), '\n'), 2);
+  EXPECT_EQ(repaired.back(), '\n');
+  EXPECT_EQ(repaired.find("b.json"), std::string::npos);
+  EXPECT_NE(repaired.find("c.json"), std::string::npos);
+
+  // Later commits append again.
+  tracker.record_artifact("d.json", doc);
+  const std::string appended = util::read_file(journal);
+  EXPECT_EQ(appended.substr(0, repaired.size()), repaired);
+
+  DataCommons commons(root);
+  const FsckReport report = commons.fsck(FsckMode::kDeep);
+  EXPECT_EQ(report.integrity.journal_torn_lines, 0u);
+  EXPECT_EQ(report.integrity.crc_mismatches, 0u);
+  EXPECT_EQ(report.integrity.unjournaled_adopted, 1u);  // b.json, intact
+  EXPECT_TRUE(commons.fsck(FsckMode::kDeep).clean());
+}
+
+TEST_F(CommonsFixture, PreBinaryDecimalArtifactsAreQuarantined) {
+  // A commons written before the binary tensor section: weights as JSON
+  // decimals under *.ckpt.json / *.state.json. There is no reader for it.
+  LineageTracker tracker({root, 1});
+  const fs::path dir = root / "models" / model_dir_name(0);
+  util::write_file(dir / "epoch_0001.ckpt.json",
+                   util::frame(R"({"input_shape":[1,8,8],"spec":{},)"
+                               R"("weights":{"w":{"shape":[1],"data":[0.5]}}})"));
+  util::write_file(dir / "epoch_0001.state.json",
+                   util::frame(R"({"epoch":1,"optimizer":{"velocity":[[0.5]]}})"));
+
+  DataCommons commons(root);
+  EXPECT_TRUE(commons.snapshot_epochs(0).empty());
+  EXPECT_TRUE(commons.training_state_epochs(0).empty());
+  const FsckReport report = commons.fsck(FsckMode::kDeep);
+  EXPECT_EQ(report.files_quarantined, 2u);
+  ASSERT_EQ(report.issues.size(), 2u);
+  for (const auto& issue : report.issues)
+    EXPECT_NE(issue.reason.find("JSON decimals"), std::string::npos)
+        << issue.reason;
+  EXPECT_TRUE(fs::exists(root / "quarantine" / "models" / model_dir_name(0) /
+                         "epoch_0001.ckpt.json"));
+  EXPECT_FALSE(fs::exists(dir / "epoch_0001.state.json"));
+  EXPECT_TRUE(commons.fsck(FsckMode::kDeep).clean());
 }
 
 }  // namespace

@@ -94,7 +94,7 @@ TEST(SeparableConv2d, SerializationRoundTrip) {
   util::Rng rng2(99);
   auto rebuilt = make_layer(sep.spec(), rng2);
   rebuilt->load_weights(
-      util::Json::parse(sep.weights().dump()));
+      util::Json::decode(sep.weights().encode()));
   const Tensor y2 = rebuilt->forward(x, false);
   for (std::size_t i = 0; i < y.numel(); ++i) EXPECT_FLOAT_EQ(y[i], y2[i]);
   SeparableConv2d other(2, 4, 3, 1, rng);
@@ -182,7 +182,7 @@ TEST(PhaseBlockOps, SpecRoundTripPreservesOps) {
 
   util::Rng rng2(77);
   auto rebuilt = make_layer(block.spec(), rng2);
-  rebuilt->load_weights(util::Json::parse(block.weights().dump()));
+  rebuilt->load_weights(util::Json::decode(block.weights().encode()));
   const Tensor y2 = rebuilt->forward(x, false);
   for (std::size_t i = 0; i < y.numel(); ++i) EXPECT_FLOAT_EQ(y[i], y2[i]);
 }

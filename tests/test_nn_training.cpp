@@ -152,8 +152,8 @@ TEST(Model, CheckpointRestoresExactPredictions) {
   for (int e = 0; e < 3; ++e) model.train_epoch(train, 8, opt, rng);
 
   const util::Json ckpt = model.checkpoint();
-  // Round-trip through text like the lineage tracker does.
-  Model restored = Model::from_checkpoint(util::Json::parse(ckpt.dump()));
+  // Round-trip through the stored encoding like the lineage tracker does.
+  Model restored = Model::from_checkpoint(util::Json::decode(ckpt.encode()));
 
   const auto batch = train.gather(std::vector<std::size_t>{0, 1, 2});
   const Tensor a = model.predict(batch.images);

@@ -219,7 +219,7 @@ TEST_P(CheckpointSweep, RandomArchitecturesSurviveSerialization) {
   const nn::Tensor before = model.predict(x);
 
   nn::Model restored = nn::Model::from_checkpoint(
-      util::Json::parse(model.checkpoint().dump()));
+      util::Json::decode(model.checkpoint().encode()));
   const nn::Tensor after = restored.predict(x);
   ASSERT_EQ(before.shape(), after.shape());
   for (std::size_t i = 0; i < before.numel(); ++i)

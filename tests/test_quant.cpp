@@ -7,8 +7,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -256,7 +258,7 @@ TEST_F(QuantModelTest, SnapshotRoundTripsExactlyAndRejectsCorruption) {
   qm.save(path);
 
   quant::QuantizedModel loaded = quant::QuantizedModel::load(path);
-  EXPECT_EQ(loaded.to_json().dump(), qm.to_json().dump());
+  EXPECT_EQ(loaded.to_json().encode(), qm.to_json().encode());
   EXPECT_EQ(loaded.quantized_layer_count(), qm.quantized_layer_count());
 
   const tensor::Tensor batch = head(data().validation, 5).images;
@@ -274,6 +276,60 @@ TEST_F(QuantModelTest, SnapshotRoundTripsExactlyAndRejectsCorruption) {
   }
   EXPECT_THROW(quant::QuantizedModel::load(path), std::exception);
 
+  fs::remove_all(dir);
+}
+
+TEST_F(QuantModelTest, SnapshotRoundTripIsBitExactForSpecialValues) {
+  nn::Model model = trained_model();
+  const quant::QuantizedModel qm =
+      quant::QuantizedModel::quantize(model, head(data().train, 8).images);
+
+  // Plant values a decimal round trip loses (-0.0, denormals, +-inf, a NaN
+  // payload) in the float tensors of every int8 stage, and the full
+  // -128..127 range in its int8 weights.
+  std::uint32_t nan_bits = 0x7fc0cafeu;
+  float nan_payload;
+  std::memcpy(&nan_payload, &nan_bits, sizeof nan_payload);
+  const float specials[] = {-0.0f, std::numeric_limits<float>::denorm_min(),
+                            std::numeric_limits<float>::infinity(),
+                            -std::numeric_limits<float>::infinity(),
+                            nan_payload};
+  util::Json doc = qm.to_json();
+  std::size_t planted = 0;
+  for (util::Json& st : doc["stages"].as_array()) {
+    if (st.at("type").as_string() != "int8") continue;
+    const auto rows = static_cast<std::size_t>(st.at("rows").as_int());
+    const auto cols = static_cast<std::size_t>(st.at("cols").as_int());
+    std::vector<float> f(rows);
+    for (std::size_t i = 0; i < rows; ++i) f[i] = specials[(i + planted) % 5];
+    std::vector<std::int8_t> w(rows * cols);
+    for (std::size_t i = 0; i < w.size(); ++i)
+      w[i] = static_cast<std::int8_t>(static_cast<int>(i * 37 % 256) - 128);
+    st["bias"] = util::JsonBlob::f32({rows}, f);
+    st["weight_scales"] = util::JsonBlob::f32({rows}, f);
+    st["weight"] = util::JsonBlob::i8({rows, cols}, w);
+    ++planted;
+  }
+  ASSERT_EQ(planted, 2u);
+
+  const fs::path dir = util::make_temp_dir("a4nn_quant_special");
+  quant::QuantizedModel::from_json(doc).save(dir / "special.quant");
+  const util::Json back =
+      quant::QuantizedModel::load(dir / "special.quant").to_json();
+  const auto& want = doc.at("stages").as_array();
+  const auto& got = back.at("stages").as_array();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (want[i].at("type").as_string() != "int8") continue;
+    for (const char* key : {"bias", "weight_scales", "weight"}) {
+      const std::string& a = want[i].at(key).as_blob().bytes;
+      const std::string& b = got[i].at(key).as_blob().bytes;
+      ASSERT_EQ(a.size(), b.size()) << "stage " << i << " " << key;
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size()), 0)
+          << "stage " << i << " " << key;
+    }
+  }
+  EXPECT_EQ(back.encode(), doc.encode());
   fs::remove_all(dir);
 }
 

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
+#include <limits>
+
 namespace a4nn::util {
 namespace {
 
@@ -168,6 +172,213 @@ TEST(Json, ObjectKeysAreSorted) {
   j["alpha"] = 2;
   const std::string dumped = j.dump();
   EXPECT_LT(dumped.find("alpha"), dumped.find("zebra"));
+}
+
+// ------------------------------------------------- binary tensor section
+
+/// Little-endian section builder for hand-made (and hand-broken) inputs.
+struct Section {
+  std::string bytes;
+  template <typename T>
+  Section& put(T v) {
+    for (std::size_t i = 0; i < sizeof(T); ++i)
+      bytes += static_cast<char>((static_cast<std::uint64_t>(v) >> (8 * i)) & 0xFF);
+    return *this;
+  }
+  Section& raw(std::size_t n) {
+    bytes.append(n, '\x5a');
+    return *this;
+  }
+  /// One well-formed f32 tensor of shape {n}.
+  Section& f32(std::size_t n) {
+    return put<std::uint8_t>(0).put<std::uint8_t>(1).put<std::uint64_t>(n)
+        .put<std::uint64_t>(4 * n).raw(4 * n);
+  }
+};
+
+std::string doc(const std::string& text, const Section& section) {
+  return text + std::string(1, '\0') + section.bytes;
+}
+
+void expect_rejected(const std::string& bytes, const std::string& needle) {
+  try {
+    Json::decode(bytes);
+    FAIL() << "expected JsonError mentioning '" << needle << "'";
+  } catch (const JsonError& e) {
+    EXPECT_NE(std::string(e.what()).find(needle), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(JsonSection, BlobFreeDocumentsEncodeExactlyAsText) {
+  Json j = Json::object();
+  j["fitness"] = 97.25;
+  j["history"] = std::vector<double>{1.5, -0.0, 3.0};
+  j["name"] = "model";
+  EXPECT_EQ(j.encode(), j.dump());
+  EXPECT_EQ(j.encode(2), j.dump(2));
+  EXPECT_EQ(j.encode(2).find('\0'), std::string::npos);
+  EXPECT_TRUE(Json::decode(j.encode(2)) == j);
+}
+
+TEST(JsonSection, TextDumpOfABlobThrows) {
+  Json j = Json::object();
+  j["w"] = JsonBlob::f32({2}, std::vector<float>{1.0f, 2.0f});
+  EXPECT_THROW(j.dump(), JsonError);
+  EXPECT_THROW(j.dump(2), JsonError);
+}
+
+TEST(JsonSection, RoundTripIsBitExact) {
+  std::vector<float> f{-0.0f,
+                       std::numeric_limits<float>::denorm_min(),
+                       -std::numeric_limits<float>::denorm_min() * 3.0f,
+                       std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity(),
+                       1.0f / 3.0f};
+  std::uint32_t nan_bits = 0x7fc12345u;  // quiet NaN with a payload
+  float nan_payload;
+  std::memcpy(&nan_payload, &nan_bits, sizeof nan_payload);
+  f.push_back(nan_payload);
+  const std::vector<std::int8_t> q{-128, -1, 0, 1, 127, 42};
+
+  Json j = Json::object();
+  j["spec"] = "conv";
+  j["f"] = JsonBlob::f32({7}, f);
+  j["q"] = JsonBlob::i8({2, 3}, q);
+  j["empty"] = JsonBlob::f32({0}, std::vector<float>{});
+  j["list"].push_back(JsonBlob::f32({1, 1}, std::vector<float>{2.5f}));
+  const std::string bytes = j.encode();
+  ASSERT_NE(bytes.find('\0'), std::string::npos);
+
+  const Json back = Json::decode(bytes);
+  const std::vector<float> f2 = back.at("f").as_blob().f32_values();
+  ASSERT_EQ(f2.size(), f.size());
+  EXPECT_EQ(std::memcmp(f2.data(), f.data(), f.size() * sizeof(float)), 0);
+  EXPECT_EQ(back.at("q").as_blob().i8_values(), q);
+  EXPECT_EQ(back.at("q").as_blob().shape, (std::vector<std::size_t>{2, 3}));
+  EXPECT_TRUE(back.at("empty").as_blob().f32_values().empty());
+  EXPECT_EQ(back.at("spec").as_string(), "conv");
+  EXPECT_TRUE(back == j);
+  EXPECT_EQ(back.encode(), bytes);
+  EXPECT_THROW(back.at("q").as_blob().f32_values(), JsonError);
+  EXPECT_THROW(JsonBlob::f32({3}, f), JsonError);  // shape/value mismatch
+}
+
+TEST(JsonSection, WellFormedHandMadeSectionDecodes) {
+  const Json j = Json::decode(doc("[#1,#0]", Section().put<std::uint32_t>(2)
+                                                  .f32(1).f32(2)));
+  EXPECT_EQ(j.at(0).as_blob().shape, std::vector<std::size_t>{2});
+  EXPECT_EQ(j.at(1).as_blob().shape, std::vector<std::size_t>{1});
+}
+
+TEST(JsonSection, TruncatedSectionThrows) {
+  const std::string whole =
+      doc("#0", Section().put<std::uint32_t>(1).f32(3));
+  const std::size_t text = 3;  // "#0" + NUL
+  for (std::size_t len = text; len < whole.size(); ++len)
+    EXPECT_THROW(Json::decode(whole.substr(0, len)), JsonError) << len;
+  expect_rejected(whole.substr(0, text + 2), "truncated");
+  expect_rejected(whole.substr(0, text + 4 + 12), "truncated");  // mid-header
+}
+
+TEST(JsonSection, LengthBeyondRemainingBytesThrows) {
+  expect_rejected(doc("#0", Section().put<std::uint32_t>(1).put<std::uint8_t>(0)
+                                .put<std::uint8_t>(1).put<std::uint64_t>(4)
+                                .put<std::uint64_t>(16).raw(8)),
+                  "claims 16 bytes, 8 remain");
+}
+
+TEST(JsonSection, HugeClaimsAreRejectedBeforeAllocating) {
+  // 2^40 bytes (2^38 floats): refused by the remaining-bytes bound, never
+  // allocated.
+  expect_rejected(doc("#0", Section().put<std::uint32_t>(1).put<std::uint8_t>(0)
+                                .put<std::uint8_t>(1)
+                                .put<std::uint64_t>(1ull << 38)
+                                .put<std::uint64_t>(1ull << 40).raw(16)),
+                  "claims 1099511627776 bytes");
+  // A tensor count the section cannot hold.
+  expect_rejected(doc("#0", Section().put<std::uint32_t>(0xFFFFFFFFu).f32(1)),
+                  "claims 4294967295 tensors");
+  // Dimensions whose product overflows 64 bits.
+  expect_rejected(doc("#0", Section().put<std::uint32_t>(1).put<std::uint8_t>(1)
+                                .put<std::uint8_t>(2)
+                                .put<std::uint64_t>(1ull << 33)
+                                .put<std::uint64_t>(1ull << 33)
+                                .put<std::uint64_t>(0)),
+                  "shape does not match");
+}
+
+TEST(JsonSection, UnknownDtypeThrows) {
+  expect_rejected(doc("#0", Section().put<std::uint32_t>(1).put<std::uint8_t>(7)
+                                .put<std::uint8_t>(1).put<std::uint64_t>(1)
+                                .put<std::uint64_t>(4).raw(4)),
+                  "unknown dtype 7");
+}
+
+TEST(JsonSection, ShapeByteLengthMismatchThrows) {
+  // Three f32 elements are 12 bytes, not 8.
+  expect_rejected(doc("#0", Section().put<std::uint32_t>(1).put<std::uint8_t>(0)
+                                .put<std::uint8_t>(1).put<std::uint64_t>(3)
+                                .put<std::uint64_t>(8).raw(8)),
+                  "shape does not match");
+  // Three i8 elements are 3 bytes, not 12.
+  expect_rejected(doc("#0", Section().put<std::uint32_t>(1).put<std::uint8_t>(1)
+                                .put<std::uint8_t>(1).put<std::uint64_t>(3)
+                                .put<std::uint64_t>(12).raw(12)),
+                  "shape does not match");
+}
+
+TEST(JsonSection, BadPlaceholdersThrow) {
+  const Section one = Section().put<std::uint32_t>(1).f32(2);
+  expect_rejected(doc("#1", one), "out of range");
+  expect_rejected(doc("[#0,#0]", Section().put<std::uint32_t>(2).f32(1).f32(1)),
+                  "used twice");
+  expect_rejected(doc("[#0]", Section().put<std::uint32_t>(2).f32(1).f32(1)),
+                  "never referenced");
+  expect_rejected(doc("#", one), "invalid tensor placeholder");
+  // Text without a section holds no tensors at all.
+  expect_rejected("{\"w\":#0}", "out of range");
+  EXPECT_THROW(Json::parse("{\"w\":#0}"), JsonError);
+}
+
+TEST(JsonSection, EveryByteMutationDecodesOrThrowsJsonError) {
+  // Deterministic mutation sweep: flip each byte of an encoded document
+  // three ways, and cut it at every length. The decoder must return or
+  // throw JsonError; it must never read out of bounds or throw anything
+  // else (run under the sanitizers in CI).
+  Json j = Json::object();
+  j["spec"] = Json::array();
+  j["spec"].push_back("conv");
+  j["w"] = JsonBlob::f32({2, 2}, std::vector<float>{1.0f, -2.0f, 0.5f, 8.0f});
+  j["q"] = JsonBlob::i8({3}, std::vector<std::int8_t>{-1, 0, 1});
+  const std::string bytes = j.encode();
+  std::size_t decoded = 0;
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (unsigned char mask : {0x01, 0x80, 0xFF}) {
+      std::string m = bytes;
+      m[i] = static_cast<char>(m[i] ^ mask);
+      try {
+        Json::decode(m);
+        ++decoded;
+      } catch (const JsonError&) {
+      }
+    }
+  }
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    try {
+      Json::decode(bytes.substr(0, len));
+      ++decoded;
+    } catch (const JsonError&) {
+    }
+  }
+  // Flips inside tensor data still decode (the frame CRC, not the
+  // section, catches those); structural flips throw.
+  EXPECT_GT(decoded, 0u);
+}
+
+TEST(JsonSection, TrailingBytesThrow) {
+  expect_rejected(doc("#0", Section().put<std::uint32_t>(1).f32(2).raw(1)),
+                  "1 trailing byte(s)");
 }
 
 }  // namespace
