@@ -1,12 +1,12 @@
 // Training-kernel microbenchmark: GFLOP/s for the blocked/packed GEMM
-// variants (and the naive baseline they replaced), the autotuned GEMM, and
-// the direct vs im2col convolution paths, on cubic and conv-shaped
-// problems. Emits BENCH_kernels.json so CI can archive throughput per
-// commit, and — with --floor — enforces a regression gate: any kernel
-// running at less than half its checked-in floor fails the run, as does
-// any measured kernel missing from the floor file or any floor entry that
-// no longer matches a measured kernel (so new/renamed kernels can never
-// ship ungated).
+// variants (and the naive baseline they replaced), the autotuned GEMM, the
+// direct vs im2col convolution paths, and a whole training convolution
+// (forward + backward of one batch), on cubic and conv-shaped problems.
+// Emits BENCH_kernels.json so CI can archive throughput per commit, and —
+// with --floor — enforces a regression gate: any kernel running at less
+// than half its checked-in floor fails the run, as does any measured kernel
+// missing from the floor file or any floor entry that no longer matches a
+// measured kernel (so new/renamed kernels can never ship ungated).
 //
 //   ./bench_kernels                          # print table + write JSON
 //   ./bench_kernels --floor ../bench/kernels_floor.json
@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "nn/layers.hpp"
 #include "tensor/autotune.hpp"
 #include "tensor/ops.hpp"
 #include "util/args.hpp"
@@ -43,6 +44,8 @@ struct Case {
   std::size_t m, k, n;
   // Runs the kernel once; buffers are captured by the closure.
   std::function<void()> run;
+  // (m x k x n) GEMMs one run performs, for the FLOP count.
+  double gemms = 1.0;
 };
 
 struct Result {
@@ -69,7 +72,8 @@ Result measure(const Case& c) {
     ++iters;
   } while (timer.seconds() < target_seconds);
   const double elapsed = timer.seconds();
-  const double flop = 2.0 * static_cast<double>(c.m) * c.k * c.n * iters;
+  const double flop =
+      2.0 * c.gemms * static_cast<double>(c.m) * c.k * c.n * iters;
   Result r;
   r.key = c.kernel + " " + std::to_string(c.m) + "x" + std::to_string(c.k) +
           "x" + std::to_string(c.n);
@@ -201,6 +205,27 @@ int main(int argc, char** argv) {
                        tensor::conv2d_forward_direct(g, m, w, {image, image_n},
                                                      out, ep);
                      }});
+  }
+
+  // Training convolution, forward + backward over a 32-image batch, at the
+  // phase-node shapes (C -> C channels, 3x3, same size): the im2col/col2im
+  // round trip and the forward, weight-gradient and input-gradient GEMMs
+  // (m = C_out, k = 9*C_in, n = 32*H*W each).
+  const std::vector<std::array<std::size_t, 2>> train_geoms = {
+      {4, 16}, {8, 8}, {16, 4}};
+  for (const auto& [ch, hw] : train_geoms) {
+    constexpr std::size_t kBatch = 32;
+    auto conv = std::make_shared<nn::Conv2d>(ch, ch, 3, 1, 1, rng);
+    auto x = std::make_shared<tensor::Tensor>(
+        tensor::Tensor::randn({kBatch, ch, hw, hw}, rng));
+    auto grad = std::make_shared<tensor::Tensor>(
+        tensor::Tensor::randn({kBatch, ch, hw, hw}, rng));
+    Case c{"conv_train", ch, 9 * ch, kBatch * hw * hw, [=] {
+             conv->forward(*x, true);
+             conv->backward(*grad);
+           }};
+    c.gemms = 3.0;
+    cases.push_back(std::move(c));
   }
 
   util::AsciiTable table({"kernel", "m", "k", "n", "GFLOP/s", "ns/iter"});

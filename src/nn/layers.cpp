@@ -1,7 +1,9 @@
 #include "nn/layers.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <stdexcept>
 
 #include "tensor/parallel.hpp"
@@ -78,66 +80,107 @@ tensor::ConvGeometry Conv2d::geometry(const Shape& in) const {
   return g;
 }
 
+namespace {
+
+// Columns per folded GEMM: images are grouped until a group spans at least
+// this many, so small feature maps still fill whole register-tile strips
+// while large ones keep groups small enough to spread over the kernel
+// workers and to stay in cache. A pure function of the shape, like every
+// other partition here.
+constexpr std::size_t kFoldColumns = 256;
+
+std::size_t fold_group_images(std::size_t cols, std::size_t batch) {
+  return std::clamp<std::size_t>((kFoldColumns + cols - 1) / cols, 1, batch);
+}
+
+// Runs fn(first_image, images) over the fold groups of a batch, the groups
+// chunk-parallel over the kernel workers.
+void for_each_fold_group(
+    std::size_t batch, std::size_t cols,
+    const std::function<void(std::size_t, std::size_t)>& fn) {
+  const std::size_t group = fold_group_images(cols, batch);
+  tensor::parallel_chunks((batch + group - 1) / group,
+                          [&](std::size_t, std::size_t begin,
+                              std::size_t end) {
+                            for (std::size_t gi = begin; gi < end; ++gi)
+                              fn(gi * group,
+                                 std::min(group, batch - gi * group));
+                          });
+}
+
+// Copies an (outer x inner) grid of `block`-float blocks into its
+// transpose: between a group's NCHW slice (images x channels blocks of H*W)
+// and its folded (channels x images*H*W) matrix, in either direction.
+void transpose_blocks(const float* src, std::size_t outer, std::size_t inner,
+                      std::size_t block, float* dst) {
+  for (std::size_t o = 0; o < outer; ++o)
+    for (std::size_t i = 0; i < inner; ++i)
+      std::memcpy(dst + (i * outer + o) * block, src + (o * inner + i) * block,
+                  block * sizeof(float));
+}
+
+}  // namespace
+
 Tensor Conv2d::forward(const Tensor& x, bool training) {
   check_rank4(x.shape(), "Conv2d");
   if (x.dim(1) != in_channels_)
     throw std::invalid_argument("Conv2d: channel mismatch");
   const std::size_t batch = x.dim(0);
   const auto g = geometry(x.shape());
-  const std::size_t oh = g.out_h();
-  const std::size_t ow = g.out_w();
-  const std::size_t cols = oh * ow;
+  const std::size_t oc = out_channels_;
+  const std::size_t cols = g.out_h() * g.out_w();
   const std::size_t patch = g.patch_size();
   const std::size_t image_size = in_channels_ * g.in_h * g.in_w;
 
-  if (training) {
-    input_cache_ = x;
-    in_shape_cache_ = x.shape();
-    // im2col results persist until backward; the vector reuses its capacity
-    // across batches and im2col overwrites every entry.
-    columns_cache_.resize(batch * patch * cols);
-  }
-
-  Tensor out({batch, out_channels_, oh, ow});
+  Tensor out({batch, oc, g.out_h(), g.out_w()});
   tensor::Epilogue ep;
   ep.bias = tensor::Epilogue::Bias::kPerRow;  // row = output channel
   ep.bias_data = bias_.data();
   ep.relu = act_ == Activation::kRelu;
-  // Images write disjoint output slices, so chunking is free of races and
-  // the fixed partition keeps results thread-count independent. Training
-  // materializes im2col into the backward cache (backward re-reads the
-  // columns); inference goes through conv2d_forward_direct, which packs
-  // image tiles straight into the GEMM panels for viable geometries and
-  // falls back to a scratch-arena im2col otherwise — bit-identical either
-  // way (see ops.hpp).
-  tensor::parallel_chunks(batch, [&](std::size_t, std::size_t begin,
-                                     std::size_t end) {
-    for (std::size_t n = begin; n < end; ++n) {
-      const std::span<const float> image{x.data() + n * image_size,
-                                         image_size};
-      float* out_n = out.data() + n * out_channels_ * cols;
-      if (training) {
-        std::span<float> col(columns_cache_.data() + n * patch * cols,
-                             patch * cols);
-        tensor::im2col(g, image, col);
-        // out_n(oc x cols) = act(W(oc x patch) * col(patch x cols) + bias)
-        tensor::gemm_ex(out_channels_, patch, cols, weight_.data(), col.data(),
-                        out_n, ep);
-      } else {
-        tensor::conv2d_forward_direct(g, out_channels_, weight_.data(), image,
-                                      out_n, ep);
-      }
-    }
+  if (!training) {
+    // Images write disjoint output slices, so chunking is free of races and
+    // the fixed partition keeps results thread-count independent.
+    // conv2d_forward_direct packs image tiles straight into the GEMM panels
+    // for viable geometries and falls back to a scratch-arena im2col
+    // otherwise — bit-identical to im2col + gemm_ex either way (ops.hpp).
+    tensor::parallel_chunks(batch, [&](std::size_t, std::size_t begin,
+                                       std::size_t end) {
+      for (std::size_t n = begin; n < end; ++n)
+        tensor::conv2d_forward_direct(g, oc, weight_.data(),
+                                      {x.data() + n * image_size, image_size},
+                                      out.data() + n * oc * cols, ep);
+    });
+    return out;
+  }
+
+  // Training: one GEMM per fold group over the group's im2col columns,
+  // built in scratch; bit-identical to one gemm_ex per image.
+  for_each_fold_group(batch, cols, [&](std::size_t n0, std::size_t images) {
+    const std::size_t width = images * cols;
+    tensor::ScratchScope scratch;
+    std::span<float> col = scratch.alloc(patch * width);
+    for (std::size_t i = 0; i < images; ++i)
+      tensor::im2col(g, {x.data() + (n0 + i) * image_size, image_size},
+                     col.subspan(i * cols), width);
+    float* dst = out.data() + n0 * oc * cols;
+    float* res = images == 1 ? dst : scratch.alloc(oc * width).data();
+    // res(oc x width) = act(W(oc x patch) * col(patch x width) + bias)
+    tensor::gemm_ex_folded(oc, patch, cols, images, weight_.data(),
+                           col.data(), res, ep);
+    if (res != dst) transpose_blocks(res, oc, images, cols, dst);
   });
-  if (training)
-    output_cache_ = act_ != Activation::kNone ? out : Tensor();
+  // Backward rebuilds each image's im2col from the input, in cache, rather
+  // than keeping the batch's columns (patch_size times larger) from here.
+  input_cache_ = x;
+  output_cache_ = act_ != Activation::kNone ? out : Tensor();
   return out;
 }
 
 Tensor Conv2d::backward(const Tensor& grad_out) {
-  const Shape& in = in_shape_cache_;
-  const std::size_t batch = in[0];
-  const auto g = geometry(in);
+  const Tensor& x = input_cache_;
+  const std::size_t batch = x.dim(0);
+  const auto g = geometry(x.shape());
+  const std::size_t oc = out_channels_;
   const std::size_t cols = g.out_h() * g.out_w();
   const std::size_t patch = g.patch_size();
   const std::size_t image_size = in_channels_ * g.in_h * g.in_w;
@@ -149,46 +192,62 @@ Tensor Conv2d::backward(const Tensor& grad_out) {
     gsrc = &masked;
   }
 
-  Tensor grad_in(in);
-  // Chunk-private weight/bias gradient slabs, reduced in chunk order below
-  // — the reduction order never depends on the worker count.
+  // Weight and bias gradients stay per image, into chunk-private slabs
+  // reduced in chunk order below: folding dW would regroup its k-sum (k is
+  // the pixel count), and the reduction order never depends on the worker
+  // count.
   const std::size_t chunks = tensor::intra_op_chunks(batch);
   tensor::ScratchScope scratch;
-  std::span<float> dw_slabs =
-      scratch.alloc_zeroed(chunks * out_channels_ * patch);
-  std::span<float> db_slabs = scratch.alloc_zeroed(chunks * out_channels_);
+  std::span<float> dw_slabs = scratch.alloc_zeroed(chunks * oc * patch);
+  std::span<float> db_slabs = scratch.alloc_zeroed(chunks * oc);
   tensor::parallel_chunks(batch, [&](std::size_t c, std::size_t begin,
                                      std::size_t end) {
-    float* dw = dw_slabs.data() + c * out_channels_ * patch;
-    float* db = db_slabs.data() + c * out_channels_;
+    float* dw = dw_slabs.data() + c * oc * patch;
+    float* db = db_slabs.data() + c * oc;
     tensor::ScratchScope local;  // this worker thread's arena
-    std::span<float> grad_cols = local.alloc(patch * cols);
+    std::span<float> col = local.alloc(patch * cols);
     for (std::size_t n = begin; n < end; ++n) {
-      const float* gout = gsrc->data() + n * out_channels_ * cols;
-      const float* col = columns_cache_.data() + n * patch * cols;
+      const float* gout = gsrc->data() + n * oc * cols;
+      tensor::im2col(g, {x.data() + n * image_size, image_size}, col);
       // dW(oc x patch) += gout(oc x cols) * col^T(cols x patch)
-      tensor::gemm_a_bt_acc(out_channels_, cols, patch, gout, col, dw);
+      tensor::gemm_a_bt_acc(oc, cols, patch, gout, col.data(), dw);
       // db(oc) += sum over cells
-      for (std::size_t oc = 0; oc < out_channels_; ++oc) {
+      for (std::size_t o = 0; o < oc; ++o) {
         float acc = 0.0f;
-        const float* row = gout + oc * cols;
+        const float* row = gout + o * cols;
         for (std::size_t i = 0; i < cols; ++i) acc += row[i];
-        db[oc] += acc;
+        db[o] += acc;
       }
-      // dcol(patch x cols) = W^T(patch x oc) * gout(oc x cols)
-      tensor::gemm_at_b(patch, out_channels_, cols, weight_.data(), gout,
-                        grad_cols.data());
-      tensor::col2im(g, grad_cols,
-                     {grad_in.data() + n * image_size, image_size});
     }
   });
   for (std::size_t c = 0; c < chunks; ++c) {
-    tensor::axpy(1.0f, dw_slabs.subspan(c * out_channels_ * patch,
-                                        out_channels_ * patch),
+    tensor::axpy(1.0f, dw_slabs.subspan(c * oc * patch, oc * patch),
                  weight_grad_.span());
-    tensor::axpy(1.0f, db_slabs.subspan(c * out_channels_, out_channels_),
-                 bias_grad_.span());
+    tensor::axpy(1.0f, db_slabs.subspan(c * oc, oc), bias_grad_.span());
   }
+
+  // Input gradient, one GEMM per fold group: the group's gout as one
+  // (oc x images*cols) matrix, dcol = W^T * gout, and col2im reading each
+  // image's columns through the group's row stride.
+  Tensor grad_in(x.shape());
+  for_each_fold_group(batch, cols, [&](std::size_t n0, std::size_t images) {
+    const std::size_t width = images * cols;
+    tensor::ScratchScope local;
+    const float* gout = gsrc->data() + n0 * oc * cols;
+    if (images > 1) {
+      float* folded = local.alloc(oc * width).data();
+      transpose_blocks(gout, images, oc, cols, folded);
+      gout = folded;
+    }
+    std::span<float> dcol = local.alloc(patch * width);
+    // dcol(patch x width) = W^T(patch x oc) * gout(oc x width)
+    tensor::gemm_at_b_folded(patch, oc, cols, images, weight_.data(), gout,
+                             dcol.data());
+    for (std::size_t i = 0; i < images; ++i)
+      tensor::col2im(g, dcol.subspan(i * cols),
+                     {grad_in.data() + (n0 + i) * image_size, image_size},
+                     width);
+  });
   return grad_in;
 }
 

@@ -21,6 +21,9 @@ Activation activation_from_name(const std::string& name);
 /// The bias add is fused into the GEMM epilogue; an optional ReLU can be
 /// fused too (see Sequential::fuse_epilogues). Forward/backward are
 /// chunk-parallel over the batch with a thread-count-independent partition.
+/// Training folds the forward and input-gradient GEMMs over groups of
+/// images (tensor::gemm_ex_folded / gemm_at_b_folded), bit-identical to one
+/// GEMM per image; the weight gradient stays per image (DESIGN.md §4e).
 class Conv2d : public Layer {
  public:
   Conv2d(std::size_t in_channels, std::size_t out_channels, std::size_t kernel,
@@ -50,10 +53,8 @@ class Conv2d : public Layer {
   Tensor weight_, weight_grad_;
   Tensor bias_, bias_grad_;
   // Cached for backward.
-  Tensor input_cache_;
+  Tensor input_cache_;   // backward rebuilds each image's im2col from it
   Tensor output_cache_;  // only when a ReLU is fused (its gradient mask)
-  std::vector<float> columns_cache_;  // im2col per batch image, concatenated
-  Shape in_shape_cache_;
 };
 
 /// Fully connected layer on flattened input (N x features). Bias (and an

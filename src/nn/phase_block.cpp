@@ -98,7 +98,7 @@ Tensor PhaseBlock::forward(const Tensor& x, bool training) {
   std::vector<Tensor> local_out;
   std::vector<Tensor>& node_out =
       training ? node_out_cache_ : local_out;
-  if (training) input_cache_ = x;
+  if (training) in_shape_cache_ = x.shape();
   node_out.assign(spec_.nodes, Tensor());
   for (std::size_t j = 0; j < spec_.nodes; ++j) {
     if (!active_[j]) continue;
@@ -138,7 +138,7 @@ Tensor PhaseBlock::backward(const Tensor& grad_out) {
   // Per-node output gradients, accumulated from the phase output and from
   // every later node that consumed this node.
   std::vector<Tensor> node_grad(spec_.nodes);
-  Tensor input_grad(input_cache_.shape());
+  Tensor input_grad(in_shape_cache_);
 
   auto accumulate = [](Tensor& dst, const Tensor& src) {
     if (dst.numel() == 0) {

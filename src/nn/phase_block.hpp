@@ -91,9 +91,9 @@ class PhaseBlock : public Layer {
   std::size_t channels_;
   std::vector<Node> nodes_;
   std::vector<bool> active_;
-  // Forward caches: per-node output activations and the phase input.
+  // Forward caches: per-node output activations and the input's shape.
   std::vector<Tensor> node_out_cache_;
-  Tensor input_cache_;
+  Shape in_shape_cache_;
 };
 
 }  // namespace a4nn::nn

@@ -5,6 +5,7 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <utility>
 
 #include "tensor/autotune.hpp"
 #include "tensor/scratch.hpp"
@@ -134,6 +135,32 @@ void pack_a_tile(const float* a, bool trans, std::size_t m, std::size_t k,
   }
 }
 
+#if defined(A4NN_VECTOR_KERNEL) && !defined(__clang__)
+#define A4NN_VECTOR_TRANSPOSE 1
+typedef int vi16 __attribute__((vector_size(64)));
+
+// One stage of an in-register 16x16 transpose: swaps the off-diagonal
+// S x S blocks of every 2S x 2S block. Stages 8, 4, 2, 1 transpose.
+template <int S>
+inline void transpose_stage(vf16 (&m)[NR]) {
+  static const auto masks = [] {
+    std::pair<vi16, vi16> lo_hi;
+    for (int l = 0; l < 16; ++l) {
+      const bool low = (l & S) == 0;
+      lo_hi.first[l] = low ? l : l - S + 16;
+      lo_hi.second[l] = low ? l + S : l + 16;
+    }
+    return lo_hi;
+  }();
+  for (std::size_t r = 0; r < NR; ++r) {
+    if (r & S) continue;
+    const vf16 a = m[r], b = m[r + S];
+    m[r] = __builtin_shuffle(a, b, masks.first);
+    m[r + S] = __builtin_shuffle(a, b, masks.second);
+  }
+}
+#endif
+
 // Pack a (kc x nc) tile of B into NR-column strips:
 // out[s*kc*NR + kk*NR + c] = B(k0 + kk, n0 + s*NR + c), zero-padded cols.
 void pack_b_tile(const float* b, bool trans, std::size_t k, std::size_t n,
@@ -142,7 +169,33 @@ void pack_b_tile(const float* b, bool trans, std::size_t k, std::size_t n,
   const std::size_t strips = (nc + NR - 1) / NR;
   for (std::size_t s = 0; s < strips; ++s) {
     float* dst = out + s * kc * NR;
-    for (std::size_t kk = 0; kk < kc; ++kk) {
+    std::size_t kk = 0;
+#ifdef A4NN_VECTOR_TRANSPOSE
+    // B_t holds each B column contiguously: load 16 columns x 16 k-steps
+    // as rows, transpose in registers, store 16 panel rows. Same bytes as
+    // the element loop below, which finishes the kc % 16 tail.
+    if (trans) {
+      const std::size_t real = std::min(NR, nc - s * NR);
+      for (; kk + NR <= kc; kk += NR) {
+        vf16 m[NR];
+        for (std::size_t c = 0; c < NR; ++c) {
+          if (c < real) {
+            __builtin_memcpy(&m[c], b + (n0 + s * NR + c) * k + k0 + kk,
+                             sizeof(vf16));
+          } else {
+            m[c] = vf16{};
+          }
+        }
+        transpose_stage<8>(m);
+        transpose_stage<4>(m);
+        transpose_stage<2>(m);
+        transpose_stage<1>(m);
+        for (std::size_t t = 0; t < NR; ++t)
+          __builtin_memcpy(dst + (kk + t) * NR, &m[t], sizeof(vf16));
+      }
+    }
+#endif
+    for (; kk < kc; ++kk) {
       for (std::size_t c = 0; c < NR; ++c) {
         const std::size_t col = s * NR + c;
         dst[kk * NR + c] =
@@ -156,16 +209,23 @@ void pack_b_tile(const float* b, bool trans, std::size_t k, std::size_t n,
 // caller. The accumulator tile lives in MR vector registers for the whole
 // k-loop; each step broadcasts one A element per row against the same
 // B vector (a register-resident rank-1 update chain).
-inline void micro_kernel(std::size_t kc, const float* __restrict ap,
-                         const float* __restrict bp, float* __restrict acc) {
 #ifdef A4NN_VECTOR_KERNEL
-  vf16 c[MR] = {};
+inline void tile_product(std::size_t kc, const float* __restrict ap,
+                         const float* __restrict bp, vf16 (&c)[MR]) {
   for (std::size_t kk = 0; kk < kc; ++kk) {
     const float* arow = ap + kk * MR;
     vf16 b;
     __builtin_memcpy(&b, bp + kk * NR, sizeof b);
     for (std::size_t r = 0; r < MR; ++r) c[r] += arow[r] * b;
   }
+}
+#endif
+
+inline void micro_kernel(std::size_t kc, const float* __restrict ap,
+                         const float* __restrict bp, float* __restrict acc) {
+#ifdef A4NN_VECTOR_KERNEL
+  vf16 c[MR] = {};
+  tile_product(kc, ap, bp, c);
   for (std::size_t r = 0; r < MR; ++r)
     __builtin_memcpy(acc + r * NR, &c[r], sizeof(vf16));
 #else
@@ -180,6 +240,44 @@ inline void micro_kernel(std::size_t kc, const float* __restrict ap,
   }
 #endif
 }
+
+#ifdef A4NN_VECTOR_KERNEL
+// micro_kernel plus write_tile for a full MR x NR tile at C(i0, j0): the
+// accumulators go from registers into C without the staging tile, and the
+// epilogue runs lane-wise with write_tile's per-element operations in
+// write_tile's order, so the stored values are the same.
+inline void micro_kernel_to_c(std::size_t kc, const float* __restrict ap,
+                              const float* __restrict bp, float* cmat,
+                              std::size_t n, std::size_t i0, std::size_t j0,
+                              bool overwrite, const Epilogue* ep) {
+  vf16 c[MR] = {};
+  tile_product(kc, ap, bp, c);
+  vf16 col_bias = {};
+  if (ep && ep->bias == Epilogue::Bias::kPerCol)
+    __builtin_memcpy(&col_bias, ep->bias_data + j0, sizeof col_bias);
+  for (std::size_t r = 0; r < MR; ++r) {
+    float* crow = cmat + (i0 + r) * n + j0;
+    vf16 v = c[r];
+    if (!overwrite) {
+      vf16 old;
+      __builtin_memcpy(&old, crow, sizeof old);
+      v = old + v;
+    }
+    if (ep) {
+      if (ep->bias == Epilogue::Bias::kPerCol) {
+        v += col_bias;
+      } else {
+        const float row_bias = ep->bias == Epilogue::Bias::kPerRow
+                                   ? ep->bias_data[i0 + r]
+                                   : 0.0f;
+        v += row_bias;
+      }
+      if (ep->relu) v = v < 0.0f ? vf16{} : v;
+    }
+    __builtin_memcpy(crow, &v, sizeof v);
+  }
+}
+#endif
 
 // Commit one accumulator tile to C; fuses the epilogue on the final
 // k-block so biased/activated outputs never need a second pass.
@@ -281,13 +379,24 @@ void blocked_gemm(std::size_t m, std::size_t k, std::size_t n, const float* a,
         pack_a_tile(a, at, m, k, m0, mc, k0, kc, apack);
         const std::size_t mstrips = (mc + MR - 1) / MR;
         for (std::size_t ms = 0; ms < mstrips; ++ms) {
+          const std::size_t rows = std::min(MR, mc - ms * MR);
           for (std::size_t ns = 0; ns < nstrips; ++ns) {
+            const std::size_t cols = std::min(NR, nc - ns * NR);
+            const float* ap = apack + ms * kc * MR;
+            const float* bp = bpack + ns * kc * NR;
+            const bool overwrite = first_kb && !accumulate;
+            const Epilogue* tile_ep = last_kb ? ep : nullptr;
+#ifdef A4NN_VECTOR_KERNEL
+            if (rows == MR && cols == NR) {
+              micro_kernel_to_c(kc, ap, bp, c, n, m0 + ms * MR, n0 + ns * NR,
+                                overwrite, tile_ep);
+              continue;
+            }
+#endif
             alignas(64) float acc[MR * NR] = {};
-            micro_kernel(kc, apack + ms * kc * MR, bpack + ns * kc * NR, acc);
-            write_tile(c, n, m0 + ms * MR, n0 + ns * NR,
-                       std::min(MR, mc - ms * MR), std::min(NR, nc - ns * NR),
-                       acc, first_kb && !accumulate,
-                       last_kb ? ep : nullptr);
+            micro_kernel(kc, ap, bp, acc);
+            write_tile(c, n, m0 + ms * MR, n0 + ns * NR, rows, cols, acc,
+                       overwrite, tile_ep);
           }
         }
       }
@@ -398,6 +507,37 @@ void gemm_at_b_acc(std::size_t m, std::size_t k, std::size_t n,
   gemm_driver(m, k, n, a_t, true, b, false, c, /*accumulate=*/true, nullptr);
 }
 
+namespace {
+
+// Blocking for a GEMM folded over `images` column blocks of `cols` columns:
+// the per-image call's config, on the blocked path, with KC widened to k
+// where the per-image call would take the small path (see ops.hpp).
+TileConfig folded_config(std::size_t k, std::size_t cols) {
+  ensure_env_tune_loaded();
+  TileConfig t = tile_config_for(k, cols);
+  if (cols * k <= t.small_row_flops) t.kc = std::max(t.kc, k);
+  t.small_row_flops = 0;
+  return t;
+}
+
+}  // namespace
+
+void gemm_ex_folded(std::size_t m, std::size_t k, std::size_t cols,
+                    std::size_t images, const float* a, const float* b,
+                    float* c, const Epilogue& epilogue) {
+  const TileConfig t = folded_config(k, cols);
+  gemm_driver(m, k, images * cols, a, false, b, false, c,
+              /*accumulate=*/false, &epilogue, &t);
+}
+
+void gemm_at_b_folded(std::size_t m, std::size_t k, std::size_t cols,
+                      std::size_t images, const float* a_t, const float* b,
+                      float* c) {
+  const TileConfig t = folded_config(k, cols);
+  gemm_driver(m, k, images * cols, a_t, true, b, false, c,
+              /*accumulate=*/false, nullptr, &t);
+}
+
 void gemm_a_bt(std::size_t m, std::size_t k, std::size_t n, const float* a,
                const float* b_t, float* c) {
   gemm_driver(m, k, n, a, false, b_t, true, c, /*accumulate=*/false, nullptr);
@@ -463,23 +603,154 @@ void ConvGeometry::validate() const {
          " is smaller than kernel " + std::to_string(kernel));
 }
 
+namespace {
+
+// Same-size stride-1 geometries (2*pad == kernel-1: the 3x3 pad-1 and 1x1
+// pad-0 convolutions of the search space): output pixel p of im2col row
+// (c, ky, kx) reads input pixel p + dy*W + dx of plane c, with
+// dy = ky - pad and dx = kx - pad, so each row is one shifted block of the
+// plane. In that flat block, output columns whose input column falls off
+// the left or right edge wrap into a neighbouring image row; those and the
+// padding bands above and below are zero.
+bool same_size_stride1(const ConvGeometry& g) {
+  return g.stride == 1 && 2 * g.pad + 1 == g.kernel;
+}
+
+// Output indices [lo, hi) along one axis of `size` pixels whose input index
+// out + shift is in range; lo == hi when the shift clears the axis.
+struct ValidRange {
+  std::size_t lo = 0;
+  std::size_t hi = 0;
+};
+
+ValidRange valid_range(std::ptrdiff_t shift, std::size_t size) {
+  const std::ptrdiff_t n = static_cast<std::ptrdiff_t>(size);
+  const std::ptrdiff_t lo = std::clamp<std::ptrdiff_t>(-shift, 0, n);
+  const std::ptrdiff_t hi = std::clamp<std::ptrdiff_t>(n - shift, lo, n);
+  return {static_cast<std::size_t>(lo), static_cast<std::size_t>(hi)};
+}
+
+// Pure data movement, so the bytes equal the per-element loop's.
+void im2col_same_size(const ConvGeometry& g, const float* image,
+                      float* columns, std::size_t row_stride) {
+  const std::size_t w = g.in_w;
+  const std::size_t plane_size = g.in_h * w;
+  const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(g.pad);
+  float* out = columns;
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    const float* plane = image + c * plane_size;
+    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+      const std::ptrdiff_t dy = static_cast<std::ptrdiff_t>(ky) - pad;
+      const ValidRange ys = valid_range(dy, g.in_h);
+      for (std::size_t kx = 0; kx < g.kernel; ++kx, out += row_stride) {
+        const std::ptrdiff_t dx = static_cast<std::ptrdiff_t>(kx) - pad;
+        const ValidRange xs = valid_range(dx, w);
+        if (ys.lo == ys.hi || xs.lo == xs.hi) {
+          std::memset(out, 0, plane_size * sizeof(float));
+          continue;
+        }
+        // One copy from the first to the last in-range pixel; the wrapped
+        // edge columns it also fills are zeroed below.
+        const std::size_t first = ys.lo * w + xs.lo;
+        const std::size_t last = (ys.hi - 1) * w + xs.hi;
+        std::memset(out, 0, first * sizeof(float));
+        const std::ptrdiff_t shift = dy * static_cast<std::ptrdiff_t>(w) + dx;
+        std::memcpy(out + first,
+                    plane + (static_cast<std::ptrdiff_t>(first) + shift),
+                    (last - first) * sizeof(float));
+        std::memset(out + last, 0, (plane_size - last) * sizeof(float));
+        // Zero the wrapped columns, |dx| per row, at one edge.
+        const std::size_t edge = dx < 0 ? 0 : xs.hi;
+        for (std::size_t ox = edge; ox < edge + w - (xs.hi - xs.lo); ++ox)
+          for (std::size_t oy = ys.lo; oy < ys.hi; ++oy)
+            out[oy * w + ox] = 0.0f;
+      }
+    }
+  }
+}
+
+void add_block(float* __restrict dst, const float* __restrict src,
+               std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
+}
+
+// Each im2col row adds to every image pixel at most once, and the rows are
+// visited in the per-element loop's order, so every pixel accumulates the
+// same terms in the same order: the sums are bit-identical. A row is added
+// as one shifted block; the pixels its wrapped edge columns land on are
+// saved before and restored after, so they keep exactly their old bytes.
+void col2im_same_size(const ConvGeometry& g, const float* columns,
+                      std::size_t row_stride, float* image_grad) {
+  const std::size_t w = g.in_w;
+  const std::size_t plane_size = g.in_h * w;
+  const std::ptrdiff_t pad = static_cast<std::ptrdiff_t>(g.pad);
+  ScratchScope scratch;
+  float* saved = scratch.alloc(g.in_h * g.pad).data();
+  const float* col = columns;
+  for (std::size_t c = 0; c < g.in_channels; ++c) {
+    float* plane = image_grad + c * plane_size;
+    for (std::size_t ky = 0; ky < g.kernel; ++ky) {
+      const std::ptrdiff_t dy = static_cast<std::ptrdiff_t>(ky) - pad;
+      const ValidRange ys = valid_range(dy, g.in_h);
+      for (std::size_t kx = 0; kx < g.kernel; ++kx, col += row_stride) {
+        const std::ptrdiff_t dx = static_cast<std::ptrdiff_t>(kx) - pad;
+        const ValidRange xs = valid_range(dx, w);
+        if (ys.lo == ys.hi || xs.lo == xs.hi) continue;
+        const std::size_t first = ys.lo * w + xs.lo;
+        const std::size_t last = (ys.hi - 1) * w + xs.hi;
+        float* const dst =
+            plane + (static_cast<std::ptrdiff_t>(first) +
+                     dy * static_cast<std::ptrdiff_t>(w) + dx);
+        // The wrapped columns between two rows of the block: `gap` of them
+        // (|dx|), starting just past each row's last in-range column.
+        const std::size_t gap = w - (xs.hi - xs.lo);
+        const std::size_t seams = ys.hi - ys.lo - 1;
+        const std::size_t seam0 = xs.hi - xs.lo;  // block offset of seam 0
+        for (std::size_t j = 0; j < gap; ++j)
+          for (std::size_t sm = 0; sm < seams; ++sm)
+            saved[j * seams + sm] = dst[seam0 + sm * w + j];
+        add_block(dst, col + first, last - first);
+        for (std::size_t j = 0; j < gap; ++j)
+          for (std::size_t sm = 0; sm < seams; ++sm)
+            dst[seam0 + sm * w + j] = saved[j * seams + sm];
+      }
+    }
+  }
+}
+
+}  // namespace
+
 void im2col(const ConvGeometry& g, std::span<const float> image,
             std::span<float> columns) {
+  g.validate();
+  const std::size_t cols = g.out_h() * g.out_w();
+  if (columns.size() != g.patch_size() * cols)
+    throw std::invalid_argument("im2col: column buffer size mismatch");
+  im2col(g, image, columns, cols);
+}
+
+void im2col(const ConvGeometry& g, std::span<const float> image,
+            std::span<float> columns, std::size_t row_stride) {
   g.validate();
   const std::size_t oh = g.out_h();
   const std::size_t ow = g.out_w();
   const std::size_t cols = oh * ow;
   if (image.size() != g.in_channels * g.in_h * g.in_w)
     throw std::invalid_argument("im2col: image size mismatch");
-  if (columns.size() != g.patch_size() * cols)
+  if (row_stride < cols ||
+      columns.size() < (g.patch_size() - 1) * row_stride + cols)
     throw std::invalid_argument("im2col: column buffer size mismatch");
+  if (same_size_stride1(g)) {
+    im2col_same_size(g, image.data(), columns.data(), row_stride);
+    return;
+  }
 
   std::size_t row = 0;
   for (std::size_t c = 0; c < g.in_channels; ++c) {
     const float* plane = image.data() + c * g.in_h * g.in_w;
     for (std::size_t ky = 0; ky < g.kernel; ++ky) {
       for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
-        float* out_row = columns.data() + row * cols;
+        float* out_row = columns.data() + row * row_stride;
         for (std::size_t oy = 0; oy < oh; ++oy) {
           // Input y for this output row (may fall in the padding band).
           const std::ptrdiff_t iy =
@@ -508,20 +779,34 @@ void im2col(const ConvGeometry& g, std::span<const float> image,
 void col2im(const ConvGeometry& g, std::span<const float> columns,
             std::span<float> image_grad) {
   g.validate();
+  const std::size_t cols = g.out_h() * g.out_w();
+  if (columns.size() != g.patch_size() * cols)
+    throw std::invalid_argument("col2im: column buffer size mismatch");
+  col2im(g, columns, image_grad, cols);
+}
+
+void col2im(const ConvGeometry& g, std::span<const float> columns,
+            std::span<float> image_grad, std::size_t row_stride) {
+  g.validate();
   const std::size_t oh = g.out_h();
   const std::size_t ow = g.out_w();
   const std::size_t cols = oh * ow;
   if (image_grad.size() != g.in_channels * g.in_h * g.in_w)
     throw std::invalid_argument("col2im: image size mismatch");
-  if (columns.size() != g.patch_size() * cols)
+  if (row_stride < cols ||
+      columns.size() < (g.patch_size() - 1) * row_stride + cols)
     throw std::invalid_argument("col2im: column buffer size mismatch");
+  if (same_size_stride1(g)) {
+    col2im_same_size(g, columns.data(), row_stride, image_grad.data());
+    return;
+  }
 
   std::size_t row = 0;
   for (std::size_t c = 0; c < g.in_channels; ++c) {
     float* plane = image_grad.data() + c * g.in_h * g.in_w;
     for (std::size_t ky = 0; ky < g.kernel; ++ky) {
       for (std::size_t kx = 0; kx < g.kernel; ++kx, ++row) {
-        const float* in_row_base = columns.data() + row * cols;
+        const float* in_row_base = columns.data() + row * row_stride;
         for (std::size_t oy = 0; oy < oh; ++oy) {
           const std::ptrdiff_t iy =
               static_cast<std::ptrdiff_t>(oy * g.stride + ky) -

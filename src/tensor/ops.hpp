@@ -127,6 +127,28 @@ void gemm_at_b(std::size_t m, std::size_t k, std::size_t n, const float* a_t,
 void gemm_at_b_acc(std::size_t m, std::size_t k, std::size_t n,
                    const float* a_t, const float* b, float* c);
 
+/// Batch-folded GEMMs: B is `images` blocks of `cols` columns laid side by
+/// side, (k x images*cols), and so is C, (m x images*cols). Every column is
+/// bit-identical to a separate per-image call with n = cols on its block.
+/// The call blocks with tile_config_for(k, cols), the per-image key, on the
+/// blocked path; where the per-image call would take the small path, KC is
+/// raised to k, since one k-panel runs the same multiply-add chain per
+/// element as the small path's i-k-j loop (skipping zero A entries there
+/// adds nothing, as both start from +0 and the operands are finite). Column
+/// results never depend on n-blocking, so callers may split the columns
+/// any way they like. gemm_a_bt has no folded form: its small path is a
+/// row-dot-row loop that no blocked config reproduces.
+///
+/// gemm_ex folded: the convolution forward over a group of images.
+void gemm_ex_folded(std::size_t m, std::size_t k, std::size_t cols,
+                    std::size_t images, const float* a, const float* b,
+                    float* c, const Epilogue& epilogue);
+
+/// gemm_at_b folded: the convolution input gradient over a group of images.
+void gemm_at_b_folded(std::size_t m, std::size_t k, std::size_t cols,
+                      std::size_t images, const float* a_t, const float* b,
+                      float* c);
+
 /// C(m x n) = A(m x k) * B_t^T where b_t is stored (n x k) row-major.
 /// Used for input-gradient computation.
 void gemm_a_bt(std::size_t m, std::size_t k, std::size_t n, const float* a,
@@ -214,13 +236,29 @@ struct ConvGeometry {
 };
 
 /// im2col for a single image (C x H x W span) into a
-/// (patch_size x out_h*out_w) column matrix.
+/// (patch_size x out_h*out_w) column matrix. Same-size stride-1 geometries
+/// (2*pad + 1 == kernel) copy each row as one shifted block of the plane;
+/// the rest gather per element. The bytes are the same either way.
 void im2col(const ConvGeometry& g, std::span<const float> image,
             std::span<float> columns);
+
+/// im2col writing row r of the column matrix at columns[r * row_stride]
+/// (row_stride >= out_h*out_w), so one image fills its block of a
+/// batch-folded (patch_size x B*out_h*out_w) matrix in place.
+void im2col(const ConvGeometry& g, std::span<const float> image,
+            std::span<float> columns, std::size_t row_stride);
 
 /// Adjoint of im2col: scatter-add columns back into the image gradient.
 void col2im(const ConvGeometry& g, std::span<const float> columns,
             std::span<float> image_grad);
+
+/// col2im reading row r of the column matrix at columns[r * row_stride]
+/// (row_stride >= out_h*out_w), so one image's block of a batch-folded
+/// (patch_size x B*out_h*out_w) matrix is read in place. Every image pixel
+/// receives its terms in row order on both the same-size and the general
+/// path, so the sums are bit-identical.
+void col2im(const ConvGeometry& g, std::span<const float> columns,
+            std::span<float> image_grad, std::size_t row_stride);
 
 /// Whether conv2d_forward_direct profitably skips im2col for this
 /// geometry: 3x3 stride-1 with out_w >= kGemmNR (the full-resolution

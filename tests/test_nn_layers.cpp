@@ -3,12 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <set>
 
+#include "conv_reference.hpp"
 #include "nn/factory.hpp"
 #include "nn/layers.hpp"
 #include "nn/loss.hpp"
 #include "nn/phase_block.hpp"
 #include "nn/sequential.hpp"
+#include "tensor/parallel.hpp"
 
 namespace a4nn::nn {
 namespace {
@@ -400,6 +404,96 @@ TEST(Sequential, FlopsAccumulateAcrossLayers) {
   const std::uint64_t conv_flops = seq.layer(0).flops({1, 8, 8});
   const std::uint64_t relu_flops = seq.layer(1).flops({2, 8, 8});
   EXPECT_EQ(seq.flops({1, 8, 8}), conv_flops + relu_flops);
+}
+
+// Conv2d computes its input gradient with one GEMM per group of images and
+// its im2col/col2im with shifted block copies; outputs and all gradients
+// must equal, byte for byte, the one-GEMM-per-image loops it replaced, at
+// every shape the search space emits, at 1 and 3 kernel threads, under the
+// default blocking and under two tuned tables with kc < k: one forcing the
+// blocked path, one the small path (which the fold must widen KC for).
+TEST(Conv2dFold, TrainingMatchesPerImageReferenceBitForBit) {
+  struct Guard {
+    ~Guard() {
+      tensor::clear_tuned_tile_configs();
+      tensor::set_intra_op_threads(1);
+    }
+  } guard;
+  struct Case {
+    std::size_t in_ch, out_ch, hw, kernel, pad;
+  };
+  const Case cases[] = {
+      {1, 4, 16, 3, 1},   // stem
+      {4, 4, 16, 3, 1},   // phase shapes
+      {8, 8, 8, 3, 1},   {16, 16, 4, 3, 1}, {16, 16, 2, 3, 1},
+      {4, 8, 8, 1, 0},    // 1x1 transitions
+      {8, 16, 4, 1, 0},
+  };
+  for (const Case& tc : cases) {
+    tensor::ConvGeometry g{tc.in_ch, tc.hw, tc.hw, tc.kernel, 1, tc.pad};
+    const std::size_t patch = g.patch_size(), cols = tc.hw * tc.hw;
+    tensor::TileConfig blocked;
+    blocked.mc = 12;
+    blocked.kc = 2;
+    blocked.nc = 32;
+    blocked.small_row_flops = 0;
+    tensor::TileConfig small = blocked;
+    small.small_row_flops = SIZE_MAX;
+    std::vector<std::vector<tensor::TunedTileEntry>> tables = {{}};
+    for (const tensor::TileConfig& cfg : {blocked, small}) {
+      // Every (k, n) key the layer's GEMMs use: forward, dW and dcol.
+      std::set<std::pair<std::size_t, std::size_t>> keys = {
+          {patch, cols}, {cols, patch}, {tc.out_ch, cols}};
+      tables.emplace_back();
+      for (const auto& [k, n] : keys) tables.back().push_back({k, n, cfg});
+    }
+    for (std::size_t table = 0; table < tables.size(); ++table) {
+      for (std::size_t threads : {1, 3}) {
+        for (std::size_t batch : {32, 7}) {
+          for (bool relu : {false, true}) {
+            SCOPED_TRACE(std::to_string(tc.in_ch) + "->" +
+                         std::to_string(tc.out_ch) + "@" +
+                         std::to_string(tc.hw) + " k" +
+                         std::to_string(tc.kernel) + " table=" +
+                         std::to_string(table) + " threads=" +
+                         std::to_string(threads) + " batch=" +
+                         std::to_string(batch) + " relu=" +
+                         std::to_string(relu));
+            tensor::set_tuned_tile_configs(tables[table]);
+            tensor::set_intra_op_threads(threads);
+            util::Rng rng(tc.in_ch * 100 + tc.hw + batch);
+            Conv2d conv(tc.in_ch, tc.out_ch, tc.kernel, 1, tc.pad, rng);
+            conv.set_activation(relu ? Activation::kRelu : Activation::kNone);
+            // A non-zero bias, so the fused epilogue has work to do.
+            Tensor& bias = *conv.params()[1].value;
+            for (std::size_t o = 0; o < tc.out_ch; ++o)
+              bias[o] = static_cast<float>(rng.normal()) * 0.1f;
+            const Tensor x =
+                Tensor::randn({batch, tc.in_ch, tc.hw, tc.hw}, rng);
+            const Tensor gout =
+                Tensor::randn({batch, tc.out_ch, tc.hw, tc.hw}, rng);
+            conv.zero_grad();
+            const Tensor out = conv.forward(x, true);
+            const Tensor grad_in = conv.backward(gout);
+            const auto ref = tensor::reference::conv_train(
+                g, batch, tc.out_ch, conv.params()[0].value->data(),
+                bias.data(), relu, x.data(), gout.data());
+            auto same = [](const Tensor& t, const std::vector<float>& v) {
+              return t.numel() == v.size() &&
+                     std::memcmp(t.data(), v.data(),
+                                 v.size() * sizeof(float)) == 0;
+            };
+            EXPECT_TRUE(same(out, ref.out)) << "forward output";
+            EXPECT_TRUE(same(grad_in, ref.grad_in)) << "input gradient";
+            EXPECT_TRUE(same(*conv.params()[0].grad, ref.weight_grad))
+                << "weight gradient";
+            EXPECT_TRUE(same(*conv.params()[1].grad, ref.bias_grad))
+                << "bias gradient";
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

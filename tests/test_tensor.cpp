@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstring>
 
+#include "conv_reference.hpp"
 #include "tensor/autotune.hpp"
 #include "tensor/ops.hpp"
 #include "tensor/parallel.hpp"
@@ -465,6 +466,298 @@ TEST(OpsSweep, AdjointnessOverStridedPaddedGeometries) {
           }
         }
       }
+    }
+  }
+}
+
+TEST(OpsSweep, Im2colCol2imBytesMatchReferenceLoops) {
+  // Same-size stride-1 geometries take the shifted-block path, the rest the
+  // per-element one; both must write exactly the bytes of the per-element
+  // reference loops, since training results are pinned bit for bit. The
+  // image gradient starts non-zero, with exact -0.0 entries, so an add
+  // that touched a pixel it should not (even with +0.0) would show. col2im
+  // also reads the columns through a wider row stride.
+  util::Rng rng(4242);
+  std::size_t same_size = 0;
+  for (std::size_t ch : {1, 3}) {
+    for (std::size_t h : {1, 2, 4, 5, 7, 16}) {
+      for (std::size_t w : {1, 2, 4, 6, 9, 16}) {
+        for (std::size_t kernel : {1, 2, 3, 5}) {
+          for (std::size_t stride : {1, 2}) {
+            for (std::size_t pad : {0, 1, 2}) {
+              if (pad >= kernel) continue;
+              if (h + 2 * pad < kernel || w + 2 * pad < kernel) continue;
+              ConvGeometry g;
+              g.in_channels = ch;
+              g.in_h = h;
+              g.in_w = w;
+              g.kernel = kernel;
+              g.stride = stride;
+              g.pad = pad;
+              SCOPED_TRACE("ch=" + std::to_string(ch) + " h=" +
+                           std::to_string(h) + " w=" + std::to_string(w) +
+                           " k=" + std::to_string(kernel) + " s=" +
+                           std::to_string(stride) + " p=" +
+                           std::to_string(pad));
+              if (stride == 1 && 2 * pad + 1 == kernel) ++same_size;
+              const std::size_t img_size = ch * h * w;
+              const std::size_t cols = g.out_h() * g.out_w();
+              const std::size_t col_size = g.patch_size() * cols;
+              std::vector<float> x(img_size), y(col_size), grad0(img_size);
+              for (auto& v : x) v = static_cast<float>(rng.normal());
+              for (auto& v : y) v = static_cast<float>(rng.normal());
+              for (std::size_t i = 0; i < img_size; ++i)
+                grad0[i] = i % 3 == 0 ? -0.0f
+                                      : static_cast<float>(rng.normal());
+
+              std::vector<float> got(col_size, 7.0f), want(col_size, -7.0f);
+              im2col(g, x, got);
+              reference::im2col(g, x, want);
+              ASSERT_EQ(std::memcmp(got.data(), want.data(),
+                                    col_size * sizeof(float)),
+                        0);
+
+              std::vector<float> back = grad0, back_ref = grad0;
+              col2im(g, y, back);
+              reference::col2im(g, y, back_ref);
+              ASSERT_EQ(std::memcmp(back.data(), back_ref.data(),
+                                    img_size * sizeof(float)),
+                        0);
+
+              const std::size_t stride_cols = cols + 3;
+              std::vector<float> wide((g.patch_size() - 1) * stride_cols +
+                                          cols,
+                                      1e30f);
+              for (std::size_t r = 0; r < g.patch_size(); ++r)
+                std::memcpy(wide.data() + r * stride_cols,
+                            y.data() + r * cols, cols * sizeof(float));
+              std::vector<float> back_wide = grad0;
+              col2im(g, wide, back_wide, stride_cols);
+              ASSERT_EQ(std::memcmp(back_wide.data(), back_ref.data(),
+                                    img_size * sizeof(float)),
+                        0);
+            }
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(same_size, 100u) << "the shifted-block path went unexercised";
+}
+
+TEST(OpsSweep, Col2imRejectsShortStridedBuffers) {
+  ConvGeometry g;
+  g.in_channels = 2;
+  g.in_h = 4;
+  g.in_w = 4;
+  g.kernel = 3;
+  g.stride = 1;
+  g.pad = 1;
+  const std::size_t cols = 16, rows = g.patch_size();
+  std::vector<float> img(2 * 16);
+  std::vector<float> columns((rows - 1) * 20 + cols);
+  EXPECT_NO_THROW(col2im(g, columns, img, 20));
+  EXPECT_THROW(col2im(g, columns, img, 21), std::invalid_argument);
+  EXPECT_THROW(col2im(g, columns, img, cols - 1), std::invalid_argument);
+}
+
+TEST(OpsSweep, TransposedBPacksTheSameBytes) {
+  // gemm_a_bt packs B_t with an in-register 16x16 transpose where it can;
+  // on the blocked path it must produce gemm's panels, so the two results
+  // are byte-identical. Extents straddle the 16-wide transpose blocks, the
+  // kc tail and partial NR strips.
+  util::Rng rng(1234);
+  for (std::size_t k : {5, 16, 17, 40, 300}) {
+    for (std::size_t n : {1, 9, 16, 17, 36, 50}) {
+      for (std::size_t kc : {7, 16, 256}) {
+        SCOPED_TRACE("k=" + std::to_string(k) + " n=" + std::to_string(n) +
+                     " kc=" + std::to_string(kc));
+        const std::size_t m = 7;
+        std::vector<float> a(m * k), b(k * n), b_t(n * k);
+        for (auto& v : a) v = static_cast<float>(rng.normal());
+        for (std::size_t kk = 0; kk < k; ++kk)
+          for (std::size_t j = 0; j < n; ++j)
+            b_t[j * k + kk] = b[kk * n + j] = static_cast<float>(rng.normal());
+        TileConfig cfg;
+        cfg.kc = kc;
+        cfg.nc = 32;
+        cfg.small_row_flops = 0;
+        std::vector<float> plain(m * n), transposed(m * n);
+        gemm_with_config(m, k, n, a.data(), b.data(), plain.data(), cfg);
+        gemm_a_bt_with_config(m, k, n, a.data(), b_t.data(),
+                              transposed.data(), cfg);
+        ASSERT_EQ(std::memcmp(plain.data(), transposed.data(),
+                              plain.size() * sizeof(float)),
+                  0);
+      }
+    }
+  }
+}
+
+// --------------------------------------------- batch-folded GEMM contract
+//
+// The folded input-gradient GEMM rests on two kernel properties: a column
+// of C does not depend on how many other columns share the call, and the
+// small path equals the blocked path when one k-panel covers k (both run
+// c = 0; c += a_k * b_k in k order). gemm_a_bt is deliberately absent: its
+// small path is a row-dot-row loop, and the weight gradient stays per image.
+
+struct TableGuard {
+  ~TableGuard() { clear_tuned_tile_configs(); }
+};
+
+TileConfig forced_small() {
+  TileConfig t;
+  t.small_row_flops = SIZE_MAX;
+  return t;
+}
+
+TileConfig forced_blocked(std::size_t kc) {
+  TileConfig t;
+  t.mc = 12;
+  t.kc = kc;
+  t.nc = 32;
+  t.small_row_flops = 0;
+  return t;
+}
+
+TEST(OpsFold, SmallPathEqualsBlockedPathWhenOnePanelCoversK) {
+  TableGuard guard;
+  util::Rng rng(31337);
+  const std::size_t shapes[][3] = {{9, 4, 256},  {36, 4, 256}, {72, 8, 64},
+                                   {144, 16, 16}, {144, 16, 4}, {7, 1, 33},
+                                   {5, 37, 17},   {13, 256, 3}};
+  for (const auto& [m, k, n] : shapes) {
+    SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                 " n=" + std::to_string(n));
+    std::vector<float> a(m * k), b(k * n);
+    for (auto& v : a) v = static_cast<float>(rng.normal());
+    for (auto& v : b) v = static_cast<float>(rng.normal());
+    for (std::size_t kc : {k, k + 5, std::size_t{256}}) {
+      std::vector<float> small(m * n), blocked(m * n);
+      gemm_with_config(m, k, n, a.data(), b.data(), small.data(),
+                       forced_small());
+      gemm_with_config(m, k, n, a.data(), b.data(), blocked.data(),
+                       forced_blocked(kc));
+      ASSERT_EQ(std::memcmp(small.data(), blocked.data(),
+                            small.size() * sizeof(float)),
+                0)
+          << "gemm, kc=" << kc;
+      // gemm_at_b reads the same `a` as a (k x m) A_t.
+      set_tuned_tile_configs({{k, n, forced_small()}});
+      gemm_at_b(m, k, n, a.data(), b.data(), small.data());
+      set_tuned_tile_configs({{k, n, forced_blocked(kc)}});
+      gemm_at_b(m, k, n, a.data(), b.data(), blocked.data());
+      clear_tuned_tile_configs();
+      ASSERT_EQ(std::memcmp(small.data(), blocked.data(),
+                            small.size() * sizeof(float)),
+                0)
+          << "gemm_at_b, kc=" << kc;
+    }
+  }
+}
+
+TEST(OpsFold, ColumnsDoNotDependOnTheOtherColumns) {
+  // n vs 32*n under one blocked config, for both gemm and gemm_at_b,
+  // including a k-panel depth below k (several panels per column).
+  TableGuard guard;
+  util::Rng rng(2024);
+  const std::size_t images = 32;
+  const std::size_t shapes[][3] = {{36, 4, 256}, {72, 8, 64}, {144, 16, 16},
+                                   {144, 16, 4}, {8, 40, 9}};
+  for (const auto& [m, k, n] : shapes) {
+    for (std::size_t kc : {std::size_t{3}, std::size_t{256}}) {
+      SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                   " n=" + std::to_string(n) + " kc=" + std::to_string(kc));
+      const std::size_t wide = images * n;
+      std::vector<float> a(m * k), b(k * wide);
+      for (auto& v : a) v = static_cast<float>(rng.normal());
+      for (auto& v : b) v = static_cast<float>(rng.normal());
+      const TileConfig cfg = forced_blocked(kc);
+      std::vector<float> c_wide(m * wide), at_wide(m * wide);
+      gemm_with_config(m, k, wide, a.data(), b.data(), c_wide.data(), cfg);
+      set_tuned_tile_configs({{k, n, cfg}, {k, wide, cfg}});
+      gemm_at_b(m, k, wide, a.data(), b.data(), at_wide.data());
+      for (std::size_t img = 0; img < images; ++img) {
+        std::vector<float> block(k * n), c(m * n), at(m * n);
+        for (std::size_t r = 0; r < k; ++r)
+          std::memcpy(block.data() + r * n, b.data() + r * wide + img * n,
+                      n * sizeof(float));
+        gemm_with_config(m, k, n, a.data(), block.data(), c.data(), cfg);
+        gemm_at_b(m, k, n, a.data(), block.data(), at.data());
+        for (std::size_t i = 0; i < m; ++i) {
+          ASSERT_EQ(std::memcmp(c.data() + i * n,
+                                c_wide.data() + i * wide + img * n,
+                                n * sizeof(float)),
+                    0)
+              << "gemm image " << img << " row " << i;
+          ASSERT_EQ(std::memcmp(at.data() + i * n,
+                                at_wide.data() + i * wide + img * n,
+                                n * sizeof(float)),
+                    0)
+              << "gemm_at_b image " << img << " row " << i;
+        }
+      }
+      clear_tuned_tile_configs();
+    }
+  }
+}
+
+TEST(OpsFold, FoldedGemmsMatchPerImageCalls) {
+  // The conv GEMM shapes — input gradient (m = patch, k = C_out) and
+  // forward (m = C_out, k = patch), per-image n = H*W — under the defaults
+  // and under tuned tables that put the per-image call on the blocked path
+  // with kc < k, or on the small path with a kc the fold has to widen. The
+  // forward form carries a per-row bias and ReLU epilogue.
+  TableGuard guard;
+  util::Rng rng(77);
+  const std::size_t images = 32;
+  const std::size_t shapes[][3] = {
+      {9, 4, 256},  {36, 4, 256}, {72, 8, 64}, {144, 16, 16}, {144, 16, 4},
+      {4, 8, 64},   {8, 16, 16},  {4, 36, 256}, {8, 72, 64},  {16, 144, 4}};
+  for (const auto& [m, k, cols] : shapes) {
+    TileConfig small_narrow_kc = forced_small();
+    small_narrow_kc.kc = 2;
+    const std::vector<std::vector<TunedTileEntry>> tables = {
+        {}, {{k, cols, forced_blocked(2)}}, {{k, cols, small_narrow_kc}}};
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+      SCOPED_TRACE("m=" + std::to_string(m) + " k=" + std::to_string(k) +
+                   " cols=" + std::to_string(cols) + " table=" +
+                   std::to_string(t));
+      set_tuned_tile_configs(tables[t]);
+      const std::size_t wide = images * cols;
+      // `a` is read as A_t (k x m) by gemm_at_b and as A (m x k) by gemm_ex.
+      std::vector<float> a(k * m), b(k * wide), bias(m);
+      for (auto& v : a) v = static_cast<float>(rng.normal());
+      for (auto& v : b) v = static_cast<float>(rng.normal());
+      for (auto& v : bias) v = static_cast<float>(rng.normal());
+      const Epilogue ep{Epilogue::Bias::kPerRow, bias.data(), true};
+      std::vector<float> at_folded(m * wide), ex_folded(m * wide);
+      gemm_at_b_folded(m, k, cols, images, a.data(), b.data(),
+                       at_folded.data());
+      gemm_ex_folded(m, k, cols, images, a.data(), b.data(), ex_folded.data(),
+                     ep);
+      for (std::size_t img = 0; img < images; ++img) {
+        std::vector<float> block(k * cols), at(m * cols), ex(m * cols);
+        for (std::size_t r = 0; r < k; ++r)
+          std::memcpy(block.data() + r * cols, b.data() + r * wide + img * cols,
+                      cols * sizeof(float));
+        gemm_at_b(m, k, cols, a.data(), block.data(), at.data());
+        gemm_ex(m, k, cols, a.data(), block.data(), ex.data(), ep);
+        for (std::size_t i = 0; i < m; ++i) {
+          ASSERT_EQ(std::memcmp(at.data() + i * cols,
+                                at_folded.data() + i * wide + img * cols,
+                                cols * sizeof(float)),
+                    0)
+              << "gemm_at_b image " << img << " row " << i;
+          ASSERT_EQ(std::memcmp(ex.data() + i * cols,
+                                ex_folded.data() + i * wide + img * cols,
+                                cols * sizeof(float)),
+                    0)
+              << "gemm_ex image " << img << " row " << i;
+        }
+      }
+      clear_tuned_tile_configs();
     }
   }
 }
